@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .norms import NormTable, _coerce
+from .norms import NormTable, _coerce, _numerators_denominators
 from .semigroups import FiniteSemigroup, zero_elements
 
 HOLDS = "holds"
@@ -72,20 +72,29 @@ class AxiomReport:
         }
 
 
+# The two pair scans compare integers: with v[x] = p[x]/q[x] and every
+# q[x] > 0, multiplying through by q[ab]*q[a]*q[b] > 0 is exact (see
+# norms.check_submultiplicative).  The Fraction witness is built only on
+# the first hit in row-major order.
+
+
 def _multiplicativity(s, v):
-    for a in s.elements():
-        for b in s.elements():
-            ab = s.table[a][b]
-            if v[ab] != v[a] * v[b]:
+    num, den = _numerators_denominators(v)
+    for a, row in enumerate(s.table):
+        pa, qa = num[a], den[a]
+        for b, ab in enumerate(row):
+            if num[ab] * qa * den[b] != pa * num[b] * den[ab]:
                 return (a, b, v[ab], v[a] * v[b])
     return None
 
 
 def _subadditivity(s, v):
-    for a in s.elements():
-        for b in s.elements():
-            ab = s.table[a][b]
-            if v[ab] > v[a] + v[b]:
+    num, den = _numerators_denominators(v)
+    for a, row in enumerate(s.table):
+        pa, qa = num[a], den[a]
+        for b, ab in enumerate(row):
+            qb = den[b]
+            if num[ab] * qa * qb > (pa * qb + num[b] * qa) * den[ab]:
                 return (a, b, v[ab], v[a] + v[b])
     return None
 

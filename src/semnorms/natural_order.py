@@ -36,17 +36,26 @@ def natural_leq(s: FiniteSemigroup, a: int, b: int) -> bool:
 
 @cache
 def natural_order(s: FiniteSemigroup) -> OrderRelation:
-    """All pairs (a, b) with a <= b, reflexive pairs included."""
-    t = adjoin_identity(s).table
-    n = s.order
-    n1 = len(t)
+    """All pairs (a, b) with a <= b, reflexive pairs included.
+
+    Quadratic, without adjoining an identity.  Fix b.  A left witness
+    x = 1 forces a = b, and a left witness x in S gives a = x*b with
+    x*a = a, that is x*(x*b) = x*b; so the first half of the definition
+    holds exactly on L(b) = {b} | {x*b : x in S, x*(x*b) = x*b}.  The
+    right witness y ranges over S^1, so the second half holds exactly on
+    b*S^1 = row(b) | {b}.  The lower set of b is their intersection.
+    Both sets cost O(n) per b, O(n^2) in all; ``natural_leq`` keeps the
+    brute force over S^1 x S^1 as the oracle.
+    """
+    t = s.table
     pairs = []
-    for b in range(n):
-        row_b = t[b]
-        downs = {row_b[y] for y in range(n1)}
-        for a in range(n):
-            if a not in downs:
-                continue
-            if any(t[x][b] == a and t[x][a] == a for x in range(n1)):
-                pairs.append((a, b))
-    return OrderRelation(n, frozenset(pairs))
+    for b in s.elements():
+        right = set(t[b])
+        right.add(b)
+        below = {b}
+        for x, row_x in enumerate(t):
+            xb = row_x[b]
+            if row_x[xb] == xb and xb in right:
+                below.add(xb)
+        pairs.extend((a, b) for a in below)
+    return OrderRelation(s.order, frozenset(pairs))

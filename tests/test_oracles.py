@@ -1,0 +1,246 @@
+"""Independent oracles for the fast kernels.
+
+Each kernel under test takes a shortcut: Light's associativity test in
+``validate``, integer cross-multiplication in ``check_submultiplicative``,
+the quadratic lower sets of ``natural_order`` and the single gate of
+``run_suite``.  The references here are written from the definitions
+alone and share no code with those kernels; hypothesis draws the inputs.
+"""
+
+import itertools
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from semnorms import (
+    BUILTIN_SEMIGROUPS,
+    INAPPLICABLE,
+    FiniteSemigroup,
+    builtin_semigroup,
+    check_submultiplicative,
+    natural_leq,
+    natural_order,
+    random_submultiplicative_norms,
+    run_suite,
+    validate,
+)
+from semnorms.propositions import SUITE_CHECKERS
+
+NON_ASSOCIATIVE_TABLE = [[0, 1], [0, 0]]
+
+# Large primes, so that denominators drawn from them are pairwise coprime
+# and cross-multiplied products run to dozens of digits.
+PRIMES = (1000003, 1000033, 1000037, 1000039, 2147483647, 4294967291, 10**12 + 39)
+
+
+# ---------------------------------------------------------------------------
+# References, written from the definitions.
+
+
+def brute_triples(table):
+    n = len(table)
+    return tuple(
+        (i, j, k)
+        for i in range(n)
+        for j in range(n)
+        for k in range(n)
+        if table[table[i][j]][k] != table[i][table[j][k]]
+    )
+
+
+def fraction_submultiplicative(table, values):
+    for a, row in enumerate(table):
+        for b, ab in enumerate(row):
+            if values[ab] > values[a] * values[b]:
+                return False, (a, b, values[ab], values[a], values[b])
+    return True, None
+
+
+def brute_natural_pairs(table):
+    """a <= b iff a = x*b = b*y and x*a = a for some x, y in S^1; the
+    identity of S^1 is represented by None."""
+    n = len(table)
+
+    def mul(x, a):
+        return a if x is None else table[x][a]
+
+    def rmul(a, y):
+        return a if y is None else table[a][y]
+
+    ones = [None, *range(n)]
+    return frozenset(
+        (a, b)
+        for a in range(n)
+        for b in range(n)
+        if any(mul(x, b) == a and mul(x, a) == a for x in ones)
+        and any(rmul(b, y) == a for y in ones)
+    )
+
+
+def transformation_closure(points, generators):
+    """Cayley table of the semigroup the maps generate under
+    (f*g)(x) = g(f(x)), elements in sorted order."""
+    found = set(generators)
+    frontier = list(found)
+    while frontier:
+        new = []
+        for f in frontier:
+            for g in list(found):
+                for h in (tuple(g[f[x]] for x in range(points)),
+                          tuple(f[g[x]] for x in range(points))):
+                    if h not in found:
+                        found.add(h)
+                        new.append(h)
+        frontier = new
+    maps = sorted(found)
+    index = {f: i for i, f in enumerate(maps)}
+    return [[index[tuple(g[f[x]] for x in range(points))] for g in maps] for f in maps]
+
+
+# ---------------------------------------------------------------------------
+# Strategies.
+
+
+@st.composite
+def magmas(draw, max_order=4):
+    n = draw(st.integers(1, max_order))
+    cells = st.integers(0, n - 1)
+    return [draw(st.lists(cells, min_size=n, max_size=n)) for _ in range(n)]
+
+
+@st.composite
+def transformation_tables(draw, max_points=3):
+    points = draw(st.integers(1, max_points))
+    one_map = st.tuples(*[st.integers(0, points - 1)] * points)
+    generators = draw(st.lists(one_map, min_size=1, max_size=3))
+    return transformation_closure(points, generators)
+
+
+def rationals():
+    small = st.builds(Fraction, st.integers(0, 12), st.integers(1, 6))
+    coprime = st.builds(
+        lambda whole, p, q: whole + Fraction(p % q, q),
+        st.integers(0, 3),
+        st.integers(0, 10**15),
+        st.sampled_from(PRIMES),
+    )
+    near_one = st.builds(lambda q: 1 + Fraction(1, q), st.sampled_from(PRIMES))
+    return st.one_of(small, coprime, near_one)
+
+
+@st.composite
+def tables_with_values(draw):
+    table = draw(st.one_of(transformation_tables(), st.sampled_from(BUILTIN_TABLES)))
+    values = draw(st.lists(rationals(), min_size=len(table), max_size=len(table)))
+    return table, values
+
+
+BUILTIN_TABLES = [
+    [list(row) for row in builtin_semigroup(name).table] for name in BUILTIN_SEMIGROUPS
+]
+
+
+# ---------------------------------------------------------------------------
+# validate: Light's test against the full triple scan.
+
+
+@settings(max_examples=300, deadline=None)
+@given(magmas())
+def test_validate_lists_exactly_the_brute_force_triples(table):
+    assert validate(table).non_associative == brute_triples(table)
+
+
+@settings(max_examples=60, deadline=None)
+@given(transformation_tables())
+def test_validate_accepts_transformation_semigroups(table):
+    assert brute_triples(table) == ()
+    assert validate(table).ok
+
+
+def test_validate_on_the_known_non_associative_table():
+    assert validate(NON_ASSOCIATIVE_TABLE).non_associative == brute_triples(
+        NON_ASSOCIATIVE_TABLE
+    )
+
+
+def test_validate_on_every_magma_of_order_two():
+    for cells in itertools.product(range(2), repeat=4):
+        table = [list(cells[:2]), list(cells[2:])]
+        assert validate(table).non_associative == brute_triples(table)
+
+
+# ---------------------------------------------------------------------------
+# check_submultiplicative: integers against plain Fractions.
+
+
+@settings(max_examples=150, deadline=None)
+@given(tables_with_values())
+def test_submultiplicative_verdict_and_witness_match_fractions(case):
+    table, values = case
+    verdict = check_submultiplicative(FiniteSemigroup(table), values)
+    assert (verdict.ok, verdict.witness) == fraction_submultiplicative(
+        table, [Fraction(v) for v in values]
+    )
+
+
+def test_submultiplicative_boundary_with_coprime_denominators():
+    # On a null semigroup every product is element 0, so the verdict
+    # turns on value(0) <= value(a) * value(b) alone.  With value(0) =
+    # (q/p)^2 and value(1) = value(2) = q/p the pair (1, 1) holds with
+    # equality; a hair more on value(0) makes it the first violation.
+    p, q = PRIMES[-2], PRIMES[-1]
+    s = FiniteSemigroup([[0] * 3 for _ in range(3)])
+    tight = [Fraction(q * q, p * p), Fraction(q, p), Fraction(q, p)]
+    assert check_submultiplicative(s, tight).ok
+    over = [tight[0] + Fraction(1, p * p * q), *tight[1:]]
+    verdict = check_submultiplicative(s, over)
+    assert verdict.witness == (1, 1, over[0], over[1], over[2])
+    assert (verdict.ok, verdict.witness) == fraction_submultiplicative(s.table, over)
+
+
+# ---------------------------------------------------------------------------
+# natural_order: quadratic lower sets against brute force.
+
+
+def test_natural_order_equals_natural_leq_on_builtins():
+    for name in BUILTIN_SEMIGROUPS:
+        s = builtin_semigroup(name)
+        expected = {
+            (a, b) for a in s.elements() for b in s.elements() if natural_leq(s, a, b)
+        }
+        assert natural_order(s).pairs == expected, name
+
+
+@settings(max_examples=60, deadline=None)
+@given(transformation_tables())
+def test_natural_order_equals_definition_on_transformation_semigroups(table):
+    assert natural_order(FiniteSemigroup(table)).pairs == brute_natural_pairs(table)
+
+
+# ---------------------------------------------------------------------------
+# run_suite: one gate against the seven separately gated checkers.
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.one_of(transformation_tables(), st.sampled_from(BUILTIN_TABLES)),
+    st.integers(0, 2**16),
+    st.sampled_from([(0, Fraction(1, 2), 1, 2), (Fraction(1, 2), 1, 2), (1, 2, 3)]),
+)
+def test_run_suite_equals_separate_checkers(table, seed, pool):
+    s = FiniteSemigroup(table)
+    for norm in random_submultiplicative_norms(s, 2, seed=seed, value_pool=pool).norms:
+        assert run_suite(s, norm) == tuple(c(s, norm) for c in SUITE_CHECKERS)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tables_with_values())
+def test_run_suite_equals_separate_checkers_on_raw_values(case):
+    table, values = case
+    s = FiniteSemigroup(table)
+    suite = run_suite(s, values)
+    assert suite == tuple(c(s, values) for c in SUITE_CHECKERS)
+    if not fraction_submultiplicative(table, [Fraction(v) for v in values])[0]:
+        assert {v.status for v in suite} == {INAPPLICABLE}
+
