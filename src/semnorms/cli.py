@@ -25,7 +25,7 @@ from .errors import (
     ParseError,
 )
 from .green import green_structure
-from .matrices import load_matrix, minor_norm, minor_norm_float, rank, witness_sequence
+from .matrices import load_matrix, minor_norm, rank, witness_sequence
 from .natural_order import natural_order
 from .norms import (
     DEFAULT_VALUE_POOL,
@@ -177,6 +177,7 @@ def cmd_fuzz(args) -> int:
 
 def cmd_minor_norm(args) -> int:
     a = load_matrix(args.input)
+    value = minor_norm(a, args.k)
     out = {
         "command": "minor-norm",
         "input": args.input,
@@ -184,15 +185,9 @@ def cmd_minor_norm(args) -> int:
         "n": a.rows,
         "k": args.k,
         "rank": rank(a),
+        "norm_value": float(value) if args.mode == "float" else str(value),
+        "norm_nonzero": value != 0,
     }
-    if args.mode == "float":
-        value = minor_norm_float(a, args.k)
-        out["norm_value"] = value
-        out["norm_nonzero"] = value != 0.0
-    else:
-        value = minor_norm(a, args.k)
-        out["norm_value"] = str(value)
-        out["norm_nonzero"] = value != 0
     _emit(out, args.format)
     return 0
 

@@ -6,6 +6,8 @@ separate processes is covered by the acceptance suite.
 """
 
 import json
+import math
+import time
 
 import pytest
 
@@ -244,6 +246,16 @@ def test_minor_norm_text_format(capsys, tmp_path):
     assert "zero" in out
 
 
+def test_minor_norm_over_the_work_budget_exits_2_at_once(capsys, tmp_path):
+    path = tmp_path / "big.txt"
+    path.write_text("20 20\n" + "1 " * 400 + "\n")
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "minor-norm", str(path), "--k", "10")
+    assert time.perf_counter() - start < 5
+    assert (code, out) == (2, "")
+    assert str(math.comb(20, 10) ** 2) in err
+
+
 # ---------------------------------------------------------------------------
 # witness
 
@@ -260,6 +272,14 @@ def test_witness_rejects_k_equal_n(capsys):
     code, _, err = run_cli(capsys, "witness", "--n", "3", "--k", "3")
     assert code == 2
     assert "strictly below" in err
+
+
+def test_witness_over_the_work_budget_exits_2_at_once(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "witness", "--n", "40", "--k", "20")
+    assert time.perf_counter() - start < 5
+    assert (code, out) == (2, "")
+    assert str(10 * math.comb(40, 20) ** 2) in err
 
 
 def test_witness_text_format(capsys):

@@ -7,6 +7,7 @@ written before anything below it was asserted; the frozen values
 matrix) were computed by hand from the definitions.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from semnorms import (
     RatMatrix,
     cauchy_binet,
     check_minor_norm_submultiplicative,
+    compound,
     det,
     generalized_inverse,
     load_matrix,
@@ -31,6 +33,7 @@ from semnorms import (
     rank,
     witness_sequence,
 )
+from semnorms.matrices import MINOR_BUDGET
 
 
 def laplace_det(rows):
@@ -215,9 +218,17 @@ def test_minor_norm_float_tracks_exact():
     for _ in range(10):
         a = random_rational_matrix(rng, 3, 3)
         for k in (1, 2, 3):
-            exact = float(minor_norm(a, k))
-            approx = minor_norm_float(a, k)
-            assert abs(approx - exact) <= 1e-9 * max(1.0, abs(exact))
+            assert minor_norm_float(a, k) == float(minor_norm(a, k))
+
+
+def test_compound_refuses_work_over_the_budget():
+    # C(20, 10)**2 minors: the refusal names the estimate and the budget
+    # and comes before any minor is built, so it returns at once.
+    estimate = math.comb(20, 10) ** 2
+    with pytest.raises(ValueError, match=f"{estimate} minors, over the budget of {MINOR_BUDGET}"):
+        minor_norm(RatMatrix.zeros(20), 10)
+    with pytest.raises(ValueError, match="over the budget"):
+        compound(RatMatrix.zeros(4, 400), 3)
 
 
 def test_submultiplicativity_check_passes_on_randoms():
@@ -364,6 +375,14 @@ def test_witness_sequence_validation():
         witness_sequence(3, 0, 5)
     with pytest.raises(ValueError, match="m_max"):
         witness_sequence(3, 1, 0)
+
+
+def test_witness_sequence_refuses_work_over_the_budget():
+    estimate = 10 * math.comb(40, 20) ** 2
+    with pytest.raises(ValueError, match=f"{estimate} minors"):
+        witness_sequence(40, 20, 10)
+    with pytest.raises(ValueError, match="over the budget"):
+        witness_sequence(3, 1, MINOR_BUDGET)
 
 
 def test_witness_report_jsonable():

@@ -2,14 +2,16 @@
 
 Each kernel under test takes a shortcut: Light's associativity test in
 ``validate``, integer cross-multiplication in ``check_submultiplicative``,
-the quadratic lower sets of ``natural_order`` and the single gate of
-``run_suite``.  The references here are written from the definitions
-alone and share no code with those kernels; hypothesis draws the inputs.
+the quadratic lower sets of ``natural_order``, the single gate of
+``run_suite`` and the integer Laplace program of ``compound``.  The
+references here are written from the definitions alone and share no code
+with those kernels; hypothesis draws the inputs.
 """
 
 import itertools
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,8 +19,12 @@ from semnorms import (
     BUILTIN_SEMIGROUPS,
     INAPPLICABLE,
     FiniteSemigroup,
+    RatMatrix,
     builtin_semigroup,
     check_submultiplicative,
+    compound,
+    det,
+    minor,
     natural_leq,
     natural_order,
     random_submultiplicative_norms,
@@ -127,6 +133,32 @@ def rationals():
     )
     near_one = st.builds(lambda q: 1 + Fraction(1, q), st.sampled_from(PRIMES))
     return st.one_of(small, coprime, near_one)
+
+
+def matrix_entries():
+    signed = st.builds(lambda sign, x: sign * x, st.sampled_from((-1, 1)), rationals())
+    small = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+    return st.one_of(st.just(Fraction(0)), small, signed)
+
+
+@st.composite
+def rat_matrices(draw, rows=None, cols=None, max_side=5):
+    rows = rows or draw(st.integers(1, max_side))
+    cols = cols or draw(st.integers(1, max_side))
+    size = rows * cols
+    entries = draw(st.lists(matrix_entries(), min_size=size, max_size=size))
+    return RatMatrix(rows, cols, tuple(entries))
+
+
+@st.composite
+def chained_matrices(draw, max_side=4):
+    """A pair whose product is defined, of any shapes up to max_side."""
+    rows, inner, cols = (draw(st.integers(1, max_side)) for _ in range(3))
+    return draw(rat_matrices(rows, inner)), draw(rat_matrices(inner, cols))
+
+
+def subsets(size, k):
+    return list(itertools.combinations(range(size), k))
 
 
 @st.composite
@@ -244,3 +276,55 @@ def test_run_suite_equals_separate_checkers_on_raw_values(case):
     if not fraction_submultiplicative(table, [Fraction(v) for v in values])[0]:
         assert {v.status for v in suite} == {INAPPLICABLE}
 
+
+
+# ---------------------------------------------------------------------------
+# compound: the Laplace program against one Bareiss minor per entry.
+
+
+@settings(max_examples=100, deadline=None)
+@given(rat_matrices())
+def test_compound_entries_are_the_minors(a):
+    for k in range(1, min(a.rows, a.cols) + 1):
+        c = compound(a, k)
+        rows, cols = subsets(a.rows, k), subsets(a.cols, k)
+        assert (c.rows, c.cols) == (len(rows), len(cols))
+        assert c.to_rows() == [[minor(a, r, q) for q in cols] for r in rows]
+
+
+@settings(max_examples=100, deadline=None)
+@given(rat_matrices())
+def test_compound_of_order_one_and_of_full_order(a):
+    assert compound(a, 1) == a
+    if a.is_square:
+        assert compound(a, a.rows).to_rows() == [[det(a)]]
+
+
+@settings(max_examples=100, deadline=None)
+@given(chained_matrices())
+def test_compound_is_multiplicative(pair):
+    # Cauchy-Binet in full: C_k(ab) = C_k(a) C_k(b) for every k the
+    # three dimensions allow.
+    a, b = pair
+    for k in range(1, min(a.rows, a.cols, b.cols) + 1):
+        assert compound(a @ b, k) == compound(a, k) @ compound(b, k)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: rat_matrices(n, n)))
+def test_compound_matches_sympy_determinants(a):
+    sympy = pytest.importorskip("sympy")
+    grid = sympy.Matrix(a.to_rows())
+    for k in range(1, a.rows + 1):
+        rows = subsets(a.rows, k)
+        expected = [
+            [Fraction(str(grid.extract(list(r), list(q)).det())) for q in rows] for r in rows
+        ]
+        assert compound(a, k).to_rows() == expected
+
+
+def test_compound_rejects_orders_outside_the_shape():
+    a = RatMatrix.zeros(2, 3)
+    for k in (0, -1, 3, 4):
+        with pytest.raises(ValueError, match="0 < k <= min"):
+            compound(a, k)
