@@ -25,7 +25,7 @@ from .errors import (
     ParseError,
 )
 from .green import green_structure
-from .matrices import load_matrix, minor_norm, rank, witness_sequence
+from .matrices import load_matrix, minor_norm, nearest_float, rank, witness_sequence
 from .natural_order import natural_order
 from .norms import (
     DEFAULT_VALUE_POOL,
@@ -185,7 +185,7 @@ def cmd_minor_norm(args) -> int:
         "n": a.rows,
         "k": args.k,
         "rank": rank(a),
-        "norm_value": float(value) if args.mode == "float" else str(value),
+        "norm_value": nearest_float(value) if args.mode == "float" else str(value),
         "norm_nonzero": value != 0,
     }
     _emit(out, args.format)

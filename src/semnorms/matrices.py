@@ -178,17 +178,26 @@ def minor(a: RatMatrix, row_subset: Sequence[int], col_subset: Sequence[int]) ->
     return det(sub)
 
 
-# Most minors one computation may evaluate.  Order 11 with k = 5 (213 444
-# minors) takes 1.3 s and 65 MB on a 2-core Xeon; order 12 with k = 6 is
-# over the budget.
-MINOR_BUDGET = 250_000
+# Most steps one computation may take.  A step is one integer
+# multiply-add, 0.5 to 1.6 microseconds in CPython on a 2-core Xeon; the
+# estimates below count the Fraction work of building minors and
+# pseudoinverses in the same unit.  At the budget a compound takes 2 to
+# 4 s and under 100 MB besides its input.
+WORK_BUDGET = 3_000_000
 
 
-def _check_minor_budget(minors: int, what: str) -> None:
-    if minors > MINOR_BUDGET:
-        raise ValueError(
-            f"{what} needs about {minors} minors, over the budget of {MINOR_BUDGET}"
-        )
+def _check_work_budget(steps: int, what: str) -> None:
+    if steps > WORK_BUDGET:
+        raise ValueError(f"{what} needs about {steps} steps, over the budget of {WORK_BUDGET}")
+
+
+def _compound_steps(rows: int, cols: int, k: int) -> int:
+    """Steps of the Laplace program of ``compound``: j multiply-adds for
+    each entry of size j, and about four more to turn each final entry
+    into a Fraction."""
+    return 4 * math.comb(rows, k) * math.comb(cols, k) + sum(
+        j * math.comb(rows - k + j, j) * math.comb(cols, j) for j in range(1, k + 1)
+    )
 
 
 def compound(a: RatMatrix, k: int) -> RatMatrix:
@@ -215,18 +224,20 @@ def compound(a: RatMatrix, k: int) -> RatMatrix:
       pruned: the expansion drops any column, and every j-subset of
       columns lies in some k-subset.
 
-    The work is at most sum_{j <= k} j * C(rows, j) * C(cols, j) integer
-    multiply-adds, and two levels are held at once.  ValueError is raised,
-    before anything is built, for k outside 0 < k <= min(rows, cols) or
-    for more than MINOR_BUDGET minors.
+    Level j thus holds C(rows - k + j, j) * C(cols, j) entries of j
+    multiply-adds each, and two levels are held at once.  The levels can
+    far outnumber the final minors: for k = n they hold 2**n entries for
+    a single minor.  ValueError is raised, before anything is built, for
+    k outside 0 < k <= min(rows, cols) or when the program needs more
+    than WORK_BUDGET steps.
     """
     if not isinstance(k, int) or not 0 < k <= min(a.rows, a.cols):
         raise ValueError(
             f"compound order must satisfy 0 < k <= min(rows, cols), "
             f"got k={k} for a {a.rows}x{a.cols} matrix"
         )
-    _check_minor_budget(
-        math.comb(a.rows, k) * math.comb(a.cols, k),
+    _check_work_budget(
+        _compound_steps(a.rows, a.cols, k),
         f"the order-{k} compound of a {a.rows}x{a.cols} matrix",
     )
     scales, grid = [], []
@@ -235,29 +246,36 @@ def compound(a: RatMatrix, k: int) -> RatMatrix:
         scale = math.lcm(*(x.denominator for x in row))
         scales.append(scale)
         grid.append([x.numerator * (scale // x.denominator) for x in row])
-    cols = range(a.cols)
     last = a.rows - k  # a size-j prefix ends on a row <= last + j - 1
-    level = {(r,): {(c,): grid[r][c] for c in cols} for r in range(last + 1)}
+    level = {(r,): grid[r] for r in range(last + 1)}
     for j in range(1, k):
-        expansion = [
-            (c_set, [(c, c_set[:t] + c_set[t + 1:], (-1) ** (j + t))
-                     for t, c in enumerate(c_set)])
-            for c_set in itertools.combinations(cols, j + 1)
-        ]
-        grown = {}
-        for prefix, sub in level.items():
-            for r in range(prefix[-1] + 1, last + j + 1):
-                row = grid[r]
-                grown[prefix + (r,)] = {
-                    c_set: sum(sign * row[c] * sub[rest] for c, rest, sign in terms if row[c])
-                    for c_set, terms in expansion
-                }
-        level = grown
+        level = _laplace_level(level, grid, a.cols, j, last)
     entries = []
     for r_set, values in level.items():
         scale = math.prod(scales[r] for r in r_set)
-        entries.extend(Fraction(v, scale) for v in values.values())
+        entries.extend(Fraction(v, scale) for v in values)
     return RatMatrix(len(level), math.comb(a.cols, k), tuple(entries))
+
+
+def _laplace_level(level: dict, grid: list, cols: int, j: int, last: int) -> dict:
+    """One step of the program in ``compound``: from the minors of size j
+    on each row prefix to those of size j + 1.  A prefix maps to its
+    minors listed in the order of itertools.combinations(range(cols), j),
+    so each cofactor is read by its index in that list."""
+    index = {c_set: i for i, c_set in enumerate(itertools.combinations(range(cols), j))}
+    expansion = [
+        [(c, index[c_set[:t] + c_set[t + 1:]], (-1) ** (j + t)) for t, c in enumerate(c_set)]
+        for c_set in itertools.combinations(range(cols), j + 1)
+    ]
+    grown = {}
+    for prefix, sub in level.items():
+        for r in range(prefix[-1] + 1, last + j + 1):
+            row = grid[r]
+            grown[prefix + (r,)] = [
+                sum(sign * row[c] * sub[i] for c, i, sign in terms if row[c])
+                for terms in expansion
+            ]
+    return grown
 
 
 @dataclass(frozen=True)
@@ -287,9 +305,18 @@ def minor_norm(a: RatMatrix, k: int) -> Fraction:
     return params.coefficient * max(abs(x) for x in compound(a, k).entries)
 
 
+def nearest_float(value: Fraction) -> float:
+    """value rounded to the nearest float, infinite beyond the float range
+    as IEEE rounding makes it."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def minor_norm_float(a: RatMatrix, k: int) -> float:
     """minor_norm rounded to the nearest float; the exact value is computed."""
-    return float(minor_norm(a, k))
+    return nearest_float(minor_norm(a, k))
 
 
 def cauchy_binet(alpha: RatMatrix, beta: RatMatrix) -> tuple[Fraction, Fraction]:
@@ -476,14 +503,20 @@ def witness_sequence(n: int, k: int, m_max: int) -> WitnessReport:
     contract.  The conclusion flag is derived from the recorded facts
     only: every point in the nonzero-norm set, values strictly
     decreasing, and a limit of norm exactly 0 outside the set.
+    ValueError is raised before the first point when the run would take
+    more than WORK_BUDGET steps.
     """
     params = MinorNormParams(n, k)
     if k >= n:
         raise ValueError(f"need k strictly below n, got k={k}, n={n}")
     if m_max < 1:
         raise ValueError(f"m_max must be at least 1, got {m_max}")
-    _check_minor_budget(
-        m_max * params.coefficient**2, f"the witness sequence for n={n}, k={k}, m_max={m_max}"
+    # Each point (and the limit) takes two compounds, and a pseudoinverse
+    # and a rank: about a dozen n x n Fraction products and eliminations,
+    # which 30 * n**3 steps and 400 for building the point cover.
+    per_point = 2 * _compound_steps(n, n, k) + 30 * n**3 + 400
+    _check_work_budget(
+        (m_max + 1) * per_point, f"the witness sequence for n={n}, k={k}, m_max={m_max}"
     )
     points = []
     for m in range(1, m_max + 1):
