@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from .semigroups import FiniteSemigroup, _check_element, adjoin_identity
+from .semigroups import FiniteSemigroup, _check_element
 
 
 @dataclass(frozen=True)
@@ -23,15 +23,16 @@ class OrderRelation:
 
 
 def natural_leq(s: FiniteSemigroup, a: int, b: int) -> bool:
-    """Brute force over S^1 x S^1; the adjoined identity covers the
-    degenerate witnesses x = 1 (forcing a = b) and y = 1."""
+    """Brute force from the definition, without building S^1.  A witness
+    x = 1 gives a = 1*b = b, and y = 1 gives a = b*1 = b; so for a != b
+    both witnesses range over S alone."""
     _check_element(s, a)
     _check_element(s, b)
-    t = adjoin_identity(s).table
-    n1 = len(t)
-    if not any(t[x][b] == a and t[x][a] == a for x in range(n1)):
-        return False
-    return any(t[b][y] == a for y in range(n1))
+    t = s.table
+    return a == b or (
+        any(t[x][b] == a == t[x][a] for x in s.elements())
+        and any(t[b][y] == a for y in s.elements())
+    )
 
 
 @cache
@@ -45,7 +46,7 @@ def natural_order(s: FiniteSemigroup) -> OrderRelation:
     right witness y ranges over S^1, so the second half holds exactly on
     b*S^1 = row(b) | {b}.  The lower set of b is their intersection.
     Both sets cost O(n) per b, O(n^2) in all; ``natural_leq`` keeps the
-    brute force over S^1 x S^1 as the oracle.
+    brute force over all witness pairs as the oracle.
     """
     t = s.table
     pairs = []

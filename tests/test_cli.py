@@ -8,6 +8,8 @@ separate processes is covered by the acceptance suite.
 import json
 import math
 import re
+import subprocess
+import sys
 import time
 
 import pytest
@@ -207,6 +209,22 @@ def test_fuzz_text_format(capsys):
     assert "result: PASS" in out
 
 
+def test_fuzz_with_near_one_cycles_finishes():
+    # Every draw from this pool has cycles whose product is just below 1;
+    # the envelope must zero them rather than pump them.  A fresh process
+    # with a timeout turns a hang into a failure.
+    result = subprocess.run(
+        [sys.executable, "-m", "semnorms", "fuzz", "t3", "--count", "30", "--seed", "1",
+         "--pool", "1/1000000,9999/10000,1"],
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert result.returncode == 0
+    assert "Traceback" not in result.stderr
+    assert json.loads(result.stdout)["generated"] == 30
+
+
 # ---------------------------------------------------------------------------
 # minor-norm
 
@@ -267,6 +285,19 @@ def test_minor_norm_over_the_work_budget_exits_2_at_once(capsys, tmp_path):
     assert (code, out) == (2, "")
     assert "over the budget" in err and "Traceback" not in err
     assert int(re.search(r"about (\d+) steps", err).group(1)) >= math.comb(20, 10) ** 2
+
+
+def test_minor_norm_rank_over_the_work_budget_exits_2_at_once(capsys, tmp_path):
+    # The order-1 compound of a 120 x 120 matrix is cheap, but the rank
+    # printed beside it is a cubic Fraction elimination.
+    path = tmp_path / "big.txt"
+    path.write_text("120 120\n" + "1 " * 120**2 + "\n")
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "minor-norm", str(path), "--k", "1")
+    assert time.perf_counter() - start < 5
+    assert (code, out) == (2, "")
+    assert "rank of a 120x120 matrix" in err and "Traceback" not in err
+    assert int(re.search(r"about (\d+) steps", err).group(1)) >= 120**3
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,8 @@ Frozen envelope oracles, derived by hand:
   1, so it pumps itself to 0; nothing constrains the other elements.
 """
 
+import itertools
+import time
 from fractions import Fraction
 
 import pytest
@@ -233,6 +235,23 @@ def test_envelope_handles_pumping_without_blowup():
     values[5] = HALF  # the identity map itself
     env = submultiplicative_envelope(t3, values)
     assert env == NormTable([0] * 27)
+
+
+def test_envelope_zeroes_near_one_cycles_at_once():
+    # In both tables the identity is a product of two elements valued
+    # 9999/10000, so it pumps to 0, and every element is itself times the
+    # identity.  Pumping reaches the tiny values only after over 10**5
+    # factors; the envelope must not follow it that far.
+    z2_zero = FiniteSemigroup(((0, 1, 2), (1, 0, 2), (2, 2, 2)))
+    near_one, tiny = Fraction(9999, 10000), Fraction(1, 10**6)
+    t3 = builtin_semigroup("t3")
+    maps = sorted(itertools.product(range(3), repeat=3))
+    t3_values = [near_one if len(set(f)) == 3 else tiny if len(set(f)) == 1 else 1 for f in maps]
+    for s, values in ((z2_zero, [1, near_one, tiny]), (t3, t3_values)):
+        start = time.perf_counter()
+        env = submultiplicative_envelope(s, values)
+        assert time.perf_counter() - start < 1
+        assert env == NormTable.constant(s.order, 0)
 
 
 # ---------------------------------------------------------------------------

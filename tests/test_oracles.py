@@ -2,7 +2,8 @@
 
 Each kernel under test takes a shortcut: Light's associativity test in
 ``validate``, integer cross-multiplication in ``check_submultiplicative``,
-the quadratic lower sets of ``natural_order``, the single gate of
+the bounded integer rounds of ``submultiplicative_envelope``, the
+quadratic lower sets of ``natural_order``, the single gate of
 ``run_suite`` and the integer Laplace program of ``compound``.  The
 references here are written from the definitions alone and share no code
 with those kernels; hypothesis draws the inputs.
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 from semnorms import (
     BUILTIN_SEMIGROUPS,
+    FAIL,
     INAPPLICABLE,
     FiniteSemigroup,
     RatMatrix,
@@ -29,6 +31,7 @@ from semnorms import (
     natural_order,
     random_submultiplicative_norms,
     run_suite,
+    submultiplicative_envelope,
     validate,
 )
 from semnorms.propositions import SUITE_CHECKERS
@@ -61,6 +64,28 @@ def fraction_submultiplicative(table, values):
             if values[ab] > values[a] * values[b]:
                 return False, (a, b, values[ab], values[a], values[b])
     return True, None
+
+
+def bounded_infimum(table, values, length):
+    """B_L(a): the least value product over factorizations of a with at
+    most ``length`` factors, by dynamic programming on the exact number of
+    factors (values are nonnegative, so a least product of k factors
+    extends a least product of k - 1)."""
+    n = len(table)
+    exact = list(values)
+    best = list(values)
+    for _ in range(length - 1):
+        longer = [None] * n
+        for a in range(n):
+            if exact[a] is None:
+                continue
+            for b in range(n):
+                c, product = table[a][b], exact[a] * values[b]
+                if longer[c] is None or product < longer[c]:
+                    longer[c] = product
+        exact = longer
+        best = [x if y is None else min(x, y) for x, y in zip(best, exact)]
+    return best
 
 
 def brute_natural_pairs(table):
@@ -173,6 +198,15 @@ BUILTIN_TABLES = [
 ]
 
 
+def all_magmas(n):
+    for cells in itertools.product(range(n), repeat=n * n):
+        yield [list(cells[i * n:(i + 1) * n]) for i in range(n)]
+
+
+# Every associative table of order at most 3: 1 + 8 + 113 of them.
+SMALL_SEMIGROUPS = [t for n in (1, 2, 3) for t in all_magmas(n) if validate(t).ok]
+
+
 # ---------------------------------------------------------------------------
 # validate: Light's test against the full triple scan.
 
@@ -232,6 +266,33 @@ def test_submultiplicative_boundary_with_coprime_denominators():
 
 
 # ---------------------------------------------------------------------------
+# submultiplicative_envelope: integer rounds against bounded factorizations.
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(SMALL_SEMIGROUPS + [t for t in BUILTIN_TABLES if len(t) <= 4]),
+    st.sampled_from([(0, Fraction(1, 2), 1, 2), (Fraction(1, 3), 1, 3)]),
+    st.data(),
+)
+def test_envelope_equals_bounded_factorization_infimum(table, pool, data):
+    # A nonzero infimum is reached within n factors and then no longer
+    # factorization goes lower; an infimum of 0 is either reached within
+    # n factors or shows as a longer factorization going below them.
+    n = len(table)
+    drawn = data.draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    values = [Fraction(v) for v in drawn]
+    env = submultiplicative_envelope(FiniteSemigroup(table), values)
+    within_n = bounded_infimum(table, values, n)
+    within_64 = bounded_infimum(table, values, 64)
+    for e, short, long in zip(env, within_n, within_64):
+        if e:
+            assert e == short == long
+        else:
+            assert short == 0 or long < short
+
+
+# ---------------------------------------------------------------------------
 # natural_order: quadratic lower sets against brute force.
 
 
@@ -263,7 +324,10 @@ def test_natural_order_equals_definition_on_transformation_semigroups(table):
 def test_run_suite_equals_separate_checkers(table, seed, pool):
     s = FiniteSemigroup(table)
     for norm in random_submultiplicative_norms(s, 2, seed=seed, value_pool=pool).norms:
-        assert run_suite(s, norm) == tuple(c(s, norm) for c in SUITE_CHECKERS)
+        suite = run_suite(s, norm)
+        assert suite == tuple(c(s, norm) for c in SUITE_CHECKERS)
+        # P2-P8 hold for every submultiplicative norm.
+        assert FAIL not in {v.status for v in suite}
 
 
 @settings(max_examples=60, deadline=None)
