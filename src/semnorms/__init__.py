@@ -1,170 +1,160 @@
 """Submultiplicative norms on finite semigroups, plus the exact
-minor-based norm family on square rational matrices."""
+minor-based norm family on square rational matrices.
 
-from .axioms import AxiomReport, AxiomVerdict, classify_literature_axioms
-from .catalog import (
-    BUILTIN_SEMIGROUPS,
-    builtin_semigroup,
-    cyclic_group,
-    full_transformation_monoid,
-    left_zero_semigroup,
-    null_semigroup,
-    symmetric_group,
-)
-from .errors import (
-    GeneratorExhaustedError,
-    InvalidSemigroupError,
-    NormConstructionError,
-    NormDomainError,
-    ParseError,
-    SemnormsError,
-)
-from .green import GreenStructure, d_class_of, green_structure
-from .matrices import (
-    MinorNormCheck,
-    MinorNormParams,
-    RatMatrix,
-    WitnessPoint,
-    WitnessReport,
-    cauchy_binet,
-    check_minor_norm_submultiplicative,
-    compound,
-    det,
-    generalized_inverse,
-    load_matrix,
-    mat_mul,
-    minor,
-    minor_norm,
-    minor_norm_float,
-    parse_matrix_text,
-    random_rational_matrix,
-    rank,
-    witness_sequence,
-)
-from .natural_order import OrderRelation, natural_leq, natural_order
-from .norms import (
-    DEFAULT_VALUE_POOL,
-    NormBatch,
-    NormTable,
-    SubmultiplicativityVerdict,
-    builtin_norm,
-    check_submultiplicative,
-    exp_approx,
-    load_norm_table,
-    parse_norm_text,
-    random_submultiplicative_norms,
-    submultiplicative_envelope,
-    zero_set,
-)
-from .propositions import (
-    FAIL,
-    INAPPLICABLE,
-    PASS,
-    SUITE_IDS,
-    PropositionVerdict,
-    check_group_lower_bound,
-    check_idempotent_norm_dichotomy,
-    check_inverse_lower_bound,
-    check_order_zero_downward,
-    check_zero_element_bound,
-    check_zero_set_closed,
-    check_zero_spreads_over_d_class,
-    run_suite,
-    suite_to_jsonable,
-)
-from .semigroups import (
-    FiniteSemigroup,
-    ValidationReport,
-    ZeroElements,
-    adjoin_identity,
-    idempotents,
-    inverse_set,
-    is_regular,
-    load_cayley_table,
-    parse_cayley_text,
-    validate,
-    zero_elements,
-)
+Every public name is loaded on first use (PEP 562), so a program pays to
+import only the modules it calls into: ``from semnorms import
+minor_norm`` loads ``matrices`` and no semigroup code.
+"""
+
+import sys
+from importlib import import_module
+from types import ModuleType
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AxiomReport",
-    "AxiomVerdict",
-    "BUILTIN_SEMIGROUPS",
-    "DEFAULT_VALUE_POOL",
-    "FAIL",
-    "FiniteSemigroup",
-    "GeneratorExhaustedError",
-    "GreenStructure",
-    "INAPPLICABLE",
-    "InvalidSemigroupError",
-    "MinorNormCheck",
-    "MinorNormParams",
-    "NormBatch",
-    "NormConstructionError",
-    "NormDomainError",
-    "NormTable",
-    "OrderRelation",
-    "PASS",
-    "ParseError",
-    "PropositionVerdict",
-    "RatMatrix",
-    "SUITE_IDS",
-    "SemnormsError",
-    "SubmultiplicativityVerdict",
-    "ValidationReport",
-    "WitnessPoint",
-    "WitnessReport",
-    "ZeroElements",
-    "adjoin_identity",
-    "builtin_norm",
-    "builtin_semigroup",
-    "cauchy_binet",
-    "check_group_lower_bound",
-    "check_idempotent_norm_dichotomy",
-    "check_inverse_lower_bound",
-    "check_minor_norm_submultiplicative",
-    "check_order_zero_downward",
-    "check_submultiplicative",
-    "check_zero_element_bound",
-    "check_zero_set_closed",
-    "check_zero_spreads_over_d_class",
-    "classify_literature_axioms",
-    "compound",
-    "cyclic_group",
-    "d_class_of",
-    "det",
-    "exp_approx",
-    "full_transformation_monoid",
-    "generalized_inverse",
-    "green_structure",
-    "idempotents",
-    "inverse_set",
-    "is_regular",
-    "left_zero_semigroup",
-    "load_cayley_table",
-    "load_matrix",
-    "load_norm_table",
-    "mat_mul",
-    "minor",
-    "minor_norm",
-    "minor_norm_float",
-    "natural_leq",
-    "natural_order",
-    "null_semigroup",
-    "parse_cayley_text",
-    "parse_matrix_text",
-    "parse_norm_text",
-    "random_rational_matrix",
-    "random_submultiplicative_norms",
-    "rank",
-    "run_suite",
-    "submultiplicative_envelope",
-    "suite_to_jsonable",
-    "symmetric_group",
-    "validate",
-    "witness_sequence",
-    "zero_elements",
-    "zero_set",
-]
+# The one registry of public names: each is defined in the module named
+# beside it.  __all__, dir() and attribute lookup are read off it.
+_EXPORTS = {
+    name: module
+    for module, names in (
+        ("axioms", ("AxiomReport", "AxiomVerdict", "classify_literature_axioms")),
+        (
+            "catalog",
+            (
+                "BUILTIN_SEMIGROUPS",
+                "builtin_semigroup",
+                "cyclic_group",
+                "full_transformation_monoid",
+                "left_zero_semigroup",
+                "null_semigroup",
+                "symmetric_group",
+            ),
+        ),
+        (
+            "errors",
+            (
+                "DEFAULT_VALUE_POOL",
+                "GeneratorExhaustedError",
+                "InvalidSemigroupError",
+                "NormConstructionError",
+                "NormDomainError",
+                "ParseError",
+                "SemnormsError",
+            ),
+        ),
+        ("green", ("GreenStructure", "d_class_of", "green_structure")),
+        (
+            "matrices",
+            (
+                "MinorNormCheck",
+                "MinorNormParams",
+                "RatMatrix",
+                "WitnessPoint",
+                "WitnessReport",
+                "cauchy_binet",
+                "check_minor_norm_submultiplicative",
+                "compound",
+                "det",
+                "generalized_inverse",
+                "load_matrix",
+                "mat_mul",
+                "minor",
+                "minor_norm",
+                "minor_norm_float",
+                "parse_matrix_text",
+                "random_rational_matrix",
+                "rank",
+                "witness_sequence",
+            ),
+        ),
+        ("natural_order", ("OrderRelation", "natural_leq", "natural_order")),
+        (
+            "norms",
+            (
+                "NormBatch",
+                "NormTable",
+                "SubmultiplicativityVerdict",
+                "builtin_norm",
+                "check_submultiplicative",
+                "exp_approx",
+                "load_norm_table",
+                "parse_norm_text",
+                "random_submultiplicative_norms",
+                "submultiplicative_envelope",
+                "zero_set",
+            ),
+        ),
+        (
+            "propositions",
+            (
+                "FAIL",
+                "INAPPLICABLE",
+                "PASS",
+                "SUITE_IDS",
+                "PropositionVerdict",
+                "check_group_lower_bound",
+                "check_idempotent_norm_dichotomy",
+                "check_inverse_lower_bound",
+                "check_order_zero_downward",
+                "check_zero_element_bound",
+                "check_zero_set_closed",
+                "check_zero_spreads_over_d_class",
+                "run_suite",
+                "suite_to_jsonable",
+            ),
+        ),
+        (
+            "semigroups",
+            (
+                "FiniteSemigroup",
+                "ValidationReport",
+                "ZeroElements",
+                "adjoin_identity",
+                "idempotents",
+                "inverse_set",
+                "is_regular",
+                "load_cayley_table",
+                "parse_cayley_text",
+                "validate",
+                "zero_elements",
+            ),
+        ),
+    )
+    for name in names
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is not None:
+        value = getattr(import_module(f".{module}", __name__), name)
+        globals()[name] = value
+        return value
+    if name in _EXPORTS.values():
+        return import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))
+
+
+class _Package(ModuleType):
+    """The package, which keeps a public name when a submodule of the same
+    name is imported.
+
+    Importing ``semnorms.natural_order`` binds that submodule on the
+    package, and would hide the function ``natural_order`` from then on.
+    A submodule bound under a public name it defines itself is replaced by
+    that name's value.
+    """
+
+    def __setattr__(self, name, value):
+        if isinstance(value, ModuleType) and _EXPORTS.get(name) == name:
+            value = getattr(value, name)
+        super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

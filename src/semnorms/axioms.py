@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import NOTATIONS
 from .norms import NormTable, _coerce, _numerators_denominators
 from .semigroups import FiniteSemigroup, zero_elements
 
@@ -33,8 +34,6 @@ FAILS = "fails"
 NOT_FINITELY_CHECKABLE = "not_finitely_checkable"
 INAPPLICABLE = "inapplicable"
 AMBIGUOUS = "ambiguous"
-
-NOTATIONS = ("multiplicative", "additive")
 
 
 @dataclass(frozen=True)

@@ -15,39 +15,26 @@ import os
 import sys
 from fractions import Fraction
 
-from .axioms import NOTATIONS, classify_literature_axioms
-from .catalog import BUILTIN_SEMIGROUPS, builtin_semigroup
+# Each command imports the modules it runs inside its own function, so a
+# command pays only for those; this module loads nothing heavier than
+# ``errors`` before it knows which command it runs.
 from .errors import (
+    DEFAULT_VALUE_POOL,
+    NOTATIONS,
     GeneratorExhaustedError,
     InvalidSemigroupError,
     NormConstructionError,
     NormDomainError,
     ParseError,
-)
-from .green import green_structure
-from .matrices import load_matrix, minor_norm, nearest_float, rank, witness_sequence
-from .natural_order import natural_order
-from .norms import (
-    DEFAULT_VALUE_POOL,
-    check_submultiplicative,
-    load_norm_table,
-    random_submultiplicative_norms,
-)
-from .propositions import FAIL, run_suite, suite_to_jsonable
-from .semigroups import (
-    FiniteSemigroup,
-    idempotents,
-    inverse_set,
-    is_regular,
-    load_cayley_table,
-    parse_cayley_text,
-    validate,
-    zero_elements,
+    rational,
 )
 
 
-def _load_semigroup(spec: str) -> FiniteSemigroup:
+def _load_semigroup(spec: str):
     """A builtin name wins over a file of the same name."""
+    from .catalog import BUILTIN_SEMIGROUPS, builtin_semigroup
+    from .semigroups import load_cayley_table
+
     if spec in BUILTIN_SEMIGROUPS:
         return builtin_semigroup(spec)
     if os.path.exists(spec):
@@ -72,6 +59,9 @@ def _emit(report: dict, fmt: str) -> None:
 
 
 def cmd_validate(args) -> int:
+    from .catalog import BUILTIN_SEMIGROUPS, builtin_semigroup
+    from .semigroups import parse_cayley_text, validate
+
     if args.input in BUILTIN_SEMIGROUPS:
         table = builtin_semigroup(args.input).table
         report = validate(table)
@@ -89,6 +79,10 @@ def cmd_validate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    from .green import green_structure
+    from .natural_order import natural_order
+    from .semigroups import idempotents, inverse_set, is_regular, zero_elements
+
     s = _load_semigroup(args.input)
     g = green_structure(s)
     zeros = zero_elements(s)
@@ -118,10 +112,13 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_norm_check(args) -> int:
+    from .axioms import classify_literature_axioms
+    from .norms import load_norm_table
+    from .propositions import FAIL, SUITE_IDS, _gated_suite, suite_to_jsonable
+
     s = _load_semigroup(args.semigroup)
     norm = load_norm_table(args.norm)
-    verdict = check_submultiplicative(s, norm)
-    suite = run_suite(s, norm)
+    verdict, suite = _gated_suite(s, norm, SUITE_IDS)
     axioms = classify_literature_axioms(s, norm, notation=args.notation)
     ok = verdict.ok and all(v.status != FAIL for v in suite)
     out = {
@@ -138,11 +135,14 @@ def cmd_norm_check(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
+    from .norms import random_submultiplicative_norms
+    from .propositions import FAIL, run_suite
+
     s = _load_semigroup(args.semigroup)
     try:
-        pool = [Fraction(tok) for tok in args.pool.split(",") if tok.strip()]
-    except (ValueError, ZeroDivisionError):
-        raise ValueError(f"cannot parse pool {args.pool!r}; expected rationals like 0,1/2,1,2")
+        pool = [rational(tok.strip()) for tok in args.pool.split(",") if tok.strip()]
+    except ValueError as exc:
+        raise ValueError(f"cannot parse pool {args.pool!r}; {exc}") from None
     batch = random_submultiplicative_norms(s, args.count, seed=args.seed, value_pool=pool)
     counts = {"PASS": 0, "FAIL": 0, "INAPPLICABLE": 0}
     failures = []
@@ -176,6 +176,8 @@ def cmd_fuzz(args) -> int:
 
 
 def cmd_minor_norm(args) -> int:
+    from .matrices import load_matrix, minor_norm, nearest_float, rank
+
     a = load_matrix(args.input)
     value = minor_norm(a, args.k)
     out = {
@@ -193,6 +195,8 @@ def cmd_minor_norm(args) -> int:
 
 
 def cmd_witness(args) -> int:
+    from .matrices import witness_sequence
+
     report = witness_sequence(args.n, args.k, args.m_max)
     out = {"command": "witness", **report.to_jsonable()}
     _emit(out, args.format)

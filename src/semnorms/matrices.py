@@ -14,13 +14,11 @@ from __future__ import annotations
 
 import itertools
 import math
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import ParseError
-from .semigroups import _parse_rational
+from .errors import ParseError, Tokens, printable_count, rational
 
 
 @dataclass(frozen=True)
@@ -595,34 +593,26 @@ def random_rational_matrix(
 
 
 def parse_matrix_text(text: str) -> RatMatrix:
-    tokens: list[tuple[int, str, int]] = []
-    last_line = 0
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        last_line = line_no
-        for m in re.finditer(r"\S+", line):
-            tokens.append((line_no, m.group(), m.start() + 1))
-    if len(tokens) < 2:
-        raise ParseError("missing matrix dimensions", max(last_line, 1), 1)
-    (l1, t1, c1), (l2, t2, c2) = tokens[0], tokens[1]
-    try:
-        rows = int(t1)
-    except ValueError:
-        raise ParseError(f"expected row count, got {t1!r}", l1, c1) from None
-    try:
-        cols = int(t2)
-    except ValueError:
-        raise ParseError(f"expected column count, got {t2!r}", l2, c2) from None
+    lines = text.splitlines()
+    last_line = max(len(lines), 1)
+    tokens = Tokens()
+    for line_no, line in enumerate(lines, start=1):
+        tokens.add(line_no, line, line.split())
+    if len(tokens.items) < 2:
+        raise ParseError("missing matrix dimensions", last_line, 1)
+    (rows,) = tokens.ints(0, 1, what="row count")
+    (cols,) = tokens.ints(1, 2, what="column count")
     if rows < 1 or cols < 1:
-        raise ParseError("matrix dimensions must be positive", l1, c1)
-    body = tokens[2:]
-    if len(body) != rows * cols:
+        raise tokens.error("matrix dimensions must be positive", 0)
+    found = len(tokens.items) - 2
+    if found != rows * cols:
         raise ParseError(
-            f"expected {rows * cols} entries for a {rows}x{cols} matrix, found {len(body)}",
-            max(last_line, 1),
+            f"expected {printable_count(rows * cols)} entries for a {rows}x{cols} matrix, "
+            f"found {found}",
+            last_line,
             1,
         )
-    entries = [_parse_rational(t, line_no, col) for line_no, t, col in body]
-    return RatMatrix(rows, cols, tuple(entries))
+    return RatMatrix(rows, cols, tuple(tokens.convert(rational, 2)))
 
 
 def load_matrix(path) -> RatMatrix:

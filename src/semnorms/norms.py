@@ -14,14 +14,15 @@ from math import gcd
 from typing import Iterable, Sequence
 
 from .errors import (
+    DEFAULT_VALUE_POOL,
     GeneratorExhaustedError,
     NormConstructionError,
     NormDomainError,
     ParseError,
+    Tokens,
+    rational,
 )
-from .semigroups import FiniteSemigroup, _parse_rational
-
-DEFAULT_VALUE_POOL = (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2))
+from .semigroups import FiniteSemigroup
 
 NORM_FAMILIES = ("zero", "one", "abs", "exp", "exp_abs")
 
@@ -347,23 +348,25 @@ def random_submultiplicative_norms(
 
 
 def parse_norm_text(text: str) -> NormTable:
-    values = []
+    tokens = Tokens()
+    crowded = None
     for line_no, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped:
-            continue
-        tokens = stripped.split()
-        if len(tokens) != 1:
-            raise ParseError("expected one value per line", line_no, 1)
-        value = _parse_rational(tokens[0], line_no, line.index(tokens[0]) + 1)
-        if value < 0:
-            raise ParseError(
-                f"norm values must be nonnegative, got {value}",
-                line_no,
-                line.index(tokens[0]) + 1,
-            )
-        values.append(value)
+        words = line.split()
+        if len(words) > 1:
+            crowded = line_no
+            break
+        tokens.add(line_no, line, words)
+    values = tokens.convert(_norm_value)
+    if crowded is not None:
+        raise ParseError("expected one value per line", crowded, 1)
     return NormTable(values)
+
+
+def _norm_value(token: str) -> Fraction:
+    value = rational(token)
+    if value < 0:
+        raise ValueError(f"norm values must be nonnegative, got {value}")
+    return value
 
 
 def load_norm_table(path) -> NormTable:

@@ -149,21 +149,23 @@ def _scan_order_zero_downward(s, norm):
     return PropositionVerdict("P8", PASS)
 
 
-def _gated_suite(s: FiniteSemigroup, values, prop_ids) -> tuple[PropositionVerdict, ...]:
-    """Run the scans of ``prop_ids`` behind a single submultiplicativity
-    gate.  The gate depends only on the table and the norm, never on the
-    law, so one check decides it for every law at once."""
+def _gated_suite(s: FiniteSemigroup, values, prop_ids):
+    """The submultiplicativity verdict, and the scans of ``prop_ids``
+    behind it as a single gate.  The gate depends only on the table and
+    the norm, never on the law, so one check decides it for every law at
+    once; ``norm-check`` reports the verdict itself as well."""
     norm = _coerce(s, values)
-    if not check_submultiplicative(s, norm).ok:
-        return tuple(
+    gate = check_submultiplicative(s, norm)
+    if not gate.ok:
+        return gate, tuple(
             PropositionVerdict(prop_id, INAPPLICABLE, detail=_NOT_SUBMULTIPLICATIVE)
             for prop_id in prop_ids
         )
-    return tuple(_SCANS[prop_id](s, norm) for prop_id in prop_ids)
+    return gate, tuple(_SCANS[prop_id](s, norm) for prop_id in prop_ids)
 
 
 def _gated(prop_id: str, s: FiniteSemigroup, values) -> PropositionVerdict:
-    return _gated_suite(s, values, (prop_id,))[0]
+    return _gated_suite(s, values, (prop_id,))[1][0]
 
 
 def check_idempotent_norm_dichotomy(s: FiniteSemigroup, values) -> PropositionVerdict:
@@ -224,7 +226,7 @@ def run_suite(s: FiniteSemigroup, values) -> tuple[PropositionVerdict, ...]:
     Equal to ``tuple(c(s, values) for c in SUITE_CHECKERS)``, but the
     submultiplicativity check runs once instead of seven times.
     """
-    return _gated_suite(s, values, SUITE_IDS)
+    return _gated_suite(s, values, SUITE_IDS)[1]
 
 
 def suite_to_jsonable(verdicts) -> list[dict]:

@@ -8,12 +8,11 @@ consulted by the algebra itself.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .errors import InvalidSemigroupError, ParseError
+from .errors import InvalidSemigroupError, ParseError, Tokens, printable_count, rational
 
 
 @dataclass(frozen=True)
@@ -290,29 +289,6 @@ def _check_element(s: FiniteSemigroup, a: int) -> None:
 # 0-based indices, then optionally a line "labels:" followed by n rational
 # or decimal labels (same line after the colon or on following lines).
 
-_TOKEN = re.compile(r"\S+")
-
-
-def _tokens(line: str):
-    for m in _TOKEN.finditer(line):
-        yield m.group(), m.start() + 1
-
-
-def _parse_int(token: str, line_no: int, col: int) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise ParseError(f"expected an integer, got {token!r}", line_no, col) from None
-
-
-def _parse_rational(token: str, line_no: int, col: int) -> Fraction:
-    try:
-        return Fraction(token)
-    except (ValueError, ZeroDivisionError):
-        raise ParseError(
-            f"expected a rational like 3, -1/2 or 0.25, got {token!r}", line_no, col
-        ) from None
-
 
 def parse_cayley_text(text: str) -> tuple[list[list[int]], list[Fraction] | None]:
     """Parse the Cayley-table text format into (rows, labels).
@@ -320,59 +296,45 @@ def parse_cayley_text(text: str) -> tuple[list[list[int]], list[Fraction] | None
     Purely syntactic: the result may still fail ``validate``.  Blank lines
     are ignored.  Raises ParseError with 1-based line and column.
     """
-    pending: list[tuple[int, str, int]] = []  # (line_no, token, col)
-    label_tokens: list[tuple[int, str, int]] = []
-    in_labels = False
-    last_line = 0
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        last_line = line_no
-        stripped = line.strip()
-        if not stripped:
+    lines = text.splitlines()
+    last_line = max(len(lines), 1)
+    table = Tokens()
+    labels: Tokens | None = None
+    for line_no, line in enumerate(lines, start=1):
+        words = line.split()
+        if not words:
             continue
-        if not in_labels and stripped.startswith("labels:"):
-            in_labels = True
-            rest = line[line.index("labels:") + len("labels:"):]
+        if labels is None and words[0].startswith("labels:"):
+            labels = Tokens()
             offset = line.index("labels:") + len("labels:")
-            for token, col in _tokens(rest):
-                label_tokens.append((line_no, token, offset + col))
-            continue
-        target = label_tokens if in_labels else pending
-        for token, col in _tokens(line):
-            target.append((line_no, token, col))
+            labels.add(line_no, line, line[offset:].split(), offset)
+        else:
+            (table if labels is None else labels).add(line_no, line, words)
 
-    if not pending:
-        raise ParseError("missing table order", max(last_line, 1), 1)
-    line_no, token, col = pending[0]
-    n = _parse_int(token, line_no, col)
+    if not table.items:
+        raise ParseError("missing table order", last_line, 1)
+    (n,) = table.ints(0, 1)
     if n <= 0:
-        raise ParseError(f"order must be positive, got {n}", line_no, col)
-    body = pending[1:]
-    if len(body) < n * n:
+        raise table.error(f"order must be positive, got {n}", 0)
+    found = len(table.items) - 1
+    if found < n * n:
         raise ParseError(
-            f"expected {n * n} table entries, found {len(body)}", max(last_line, 1), 1
+            f"expected {printable_count(n * n)} table entries, found {found}", last_line, 1
         )
-    if len(body) > n * n:
-        line_no, token, col = body[n * n]
-        raise ParseError(f"unexpected extra token {token!r}", line_no, col)
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            line_no, token, col = body[i * n + j]
-            row.append(_parse_int(token, line_no, col))
-        rows.append(row)
+    if found > n * n:
+        raise table.error(f"unexpected extra token {table.items[n * n + 1]!r}", n * n + 1)
+    entries = table.ints(1)
+    rows = [entries[i : i + n] for i in range(0, n * n, n)]
 
-    labels: list[Fraction] | None = None
-    if in_labels:
-        if len(label_tokens) != n:
-            where = label_tokens[0][0] if label_tokens else last_line
-            raise ParseError(
-                f"expected {n} labels, found {len(label_tokens)}", where, 1
-            )
-        labels = [
-            _parse_rational(token, line_no, col) for line_no, token, col in label_tokens
-        ]
-    return rows, labels
+    if labels is None:
+        return rows, None
+    if len(labels.items) != n:
+        raise ParseError(
+            f"expected {n} labels, found {len(labels.items)}",
+            labels.first_line(last_line),
+            1,
+        )
+    return rows, labels.convert(rational)
 
 
 def load_cayley_table(path) -> FiniteSemigroup:

@@ -1,8 +1,9 @@
 """CLI behavior: JSON reports, text rendering, exit codes.
 
 Exit code contract: 0 success, 1 mathematical failure, 2 usage or parse
-trouble.  Tests call main() in process; byte-level determinism across
-separate processes is covered by the acceptance suite.
+trouble.  Tests call main() in process, except where a fresh process is
+the point (a hang, or the modules a command imports); byte-level
+determinism across separate processes is covered by the acceptance suite.
 """
 
 import json
@@ -27,6 +28,16 @@ def run_json(capsys, *argv):
     code, out, err = run_cli(capsys, *argv)
     assert err == ""
     return code, json.loads(out)
+
+
+def run_module(*argv, python_options=(), timeout=30):
+    """``python -m semnorms ...`` in a fresh process."""
+    return subprocess.run(
+        [sys.executable, *python_options, "-m", "semnorms", *argv],
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +175,37 @@ def test_norm_check_text_format(capsys, tmp_path):
     assert "submultiplicative: yes" in out
 
 
+def test_norm_check_scans_submultiplicativity_once(capsys, tmp_path, monkeypatch):
+    # The verdict it prints is the one the P2-P8 gate computed.
+    from semnorms import cli, norms, propositions
+
+    calls = []
+    scan = norms.check_submultiplicative
+
+    def counted(s, norm):
+        calls.append(1)
+        return scan(s, norm)
+
+    # Every binding of the scan: where it is defined, and where it is imported.
+    for module in (norms, propositions, cli):
+        monkeypatch.setattr(module, "check_submultiplicative", counted, raising=False)
+    for values, expected in (("1\n1\n", 0), ("1\n1/2\n", 1)):
+        norm = tmp_path / "norm.txt"
+        norm.write_text(values)
+        calls.clear()
+        code, out = run_json(capsys, "norm-check", "z2", str(norm))
+        assert (code, len(calls)) == (expected, 1)
+        assert out["submultiplicative"]["ok"] is (expected == 0)
+
+
+def test_norm_check_huge_value_is_a_parse_error(capsys, tmp_path):
+    norm = tmp_path / "huge.txt"
+    norm.write_text("1\n1e5000\n")
+    code, out, err = run_cli(capsys, "norm-check", "z2", str(norm))
+    assert (code, out) == (2, "")
+    assert "line 2, column 1: a rational may spell out at most 4300 digits" in err
+
+
 def test_norm_check_wrong_length(capsys, tmp_path):
     norm = tmp_path / "short.txt"
     norm.write_text("1\n")
@@ -201,6 +243,14 @@ def test_fuzz_bad_pool(capsys):
     assert "cannot parse pool" in err
 
 
+def test_fuzz_huge_pool_value_exits_2_at_once(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "fuzz", "z2", "--pool", "1, 1e2000000")
+    assert time.perf_counter() - start < 5
+    assert (code, out) == (2, "")
+    assert "cannot parse pool" in err and "at most 4300 digits" in err
+
+
 def test_fuzz_text_format(capsys):
     code, out, _ = run_cli(
         capsys, "fuzz", "z2", "--count", "3", "--seed", "1", "--format", "text"
@@ -213,11 +263,8 @@ def test_fuzz_with_near_one_cycles_finishes():
     # Every draw from this pool has cycles whose product is just below 1;
     # the envelope must zero them rather than pump them.  A fresh process
     # with a timeout turns a hang into a failure.
-    result = subprocess.run(
-        [sys.executable, "-m", "semnorms", "fuzz", "t3", "--count", "30", "--seed", "1",
-         "--pool", "1/1000000,9999/10000,1"],
-        capture_output=True,
-        text=True,
+    result = run_module(
+        "fuzz", "t3", "--count", "30", "--seed", "1", "--pool", "1/1000000,9999/10000,1",
         timeout=10,
     )
     assert result.returncode == 0
@@ -256,6 +303,15 @@ def test_minor_norm_float_mode_beyond_the_float_range(capsys, tmp_path):
     assert code == 0
     assert out["norm_value"] == math.inf
     assert out["norm_nonzero"] is True
+
+
+def test_minor_norm_huge_entry_is_a_parse_error(capsys, tmp_path):
+    path = tmp_path / "huge.txt"
+    path.write_text("1 1\n1e5000\n")
+    code, out, err = run_cli(capsys, "minor-norm", str(path), "--k", "1")
+    assert (code, out) == (2, "")
+    assert "line 2, column 1: a rational may spell out at most 4300 digits" in err
+    assert "Traceback" not in err
 
 
 def test_minor_norm_k_out_of_range(capsys, tmp_path):
@@ -333,6 +389,46 @@ def test_witness_text_format(capsys):
     )
     assert code == 0
     assert "NOT closed" in out
+
+
+# ---------------------------------------------------------------------------
+# imports: each command loads the modules it runs and no others
+
+
+COMMAND_MODULES = {
+    "--help": set(),
+    "validate": {"catalog", "semigroups"},
+    "analyze": {"catalog", "semigroups", "green", "natural_order"},
+    "norm-check": {
+        "catalog", "semigroups", "green", "natural_order", "norms", "propositions", "axioms",
+    },
+    "fuzz": {"catalog", "semigroups", "green", "natural_order", "norms", "propositions"},
+    "minor-norm": {"matrices"},
+    "witness": {"matrices"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_MODULES))
+def test_command_imports_only_what_it_runs(command, tmp_path):
+    norm = tmp_path / "norm.txt"
+    norm.write_text("1\n1\n")
+    matrix = tmp_path / "matrix.txt"
+    matrix.write_text("2 2\n1 2\n3 4\n")
+    argv = {
+        "--help": ["--help"],
+        "validate": ["validate", "t2"],
+        "analyze": ["analyze", "t2"],
+        "norm-check": ["norm-check", "z2", str(norm)],
+        "fuzz": ["fuzz", "z2", "--count", "2"],
+        "minor-norm": ["minor-norm", str(matrix), "--k", "1"],
+        "witness": ["witness", "--n", "3", "--k", "1"],
+    }[command]
+    # -v reports every module the import system loads, also those loaded
+    # through importlib by the package's lazy attributes.
+    result = run_module(*argv, python_options=("-v",))
+    assert result.returncode == 0, result.stderr
+    loaded = set(re.findall(r"^import 'semnorms\.(\w+)'", result.stderr, re.MULTILINE))
+    assert loaded == {"cli", "errors"} | COMMAND_MODULES[command]
 
 
 # ---------------------------------------------------------------------------

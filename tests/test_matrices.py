@@ -454,6 +454,16 @@ def test_parse_matrix_errors():
     assert (exc.value.line, exc.value.column) == (3, 3)
 
 
+def test_parse_matrix_bounds_entry_literals():
+    assert parse_matrix_text("1 2\n1e4299 -0.5\n").entries == (10**4299, Fraction(-1, 2))
+    for huge in ("1e4300", "-1e-4300", "1e2000000", "0." + "0" * 4300 + "1"):
+        start = time.perf_counter()
+        with pytest.raises(ParseError, match="at most 4300 digits") as exc:
+            parse_matrix_text(f"1 2\n1 {huge}\n")
+        assert time.perf_counter() - start < 0.5
+        assert (exc.value.line, exc.value.column) == (2, 3)
+
+
 def test_load_matrix(tmp_path):
     path = tmp_path / "m.txt"
     path.write_text("2 2\n1 2\n3 4\n")

@@ -352,6 +352,16 @@ def test_parse_norm_rejects_junk():
         parse_norm_text("x\n")
 
 
+def test_parse_norm_bounds_value_literals():
+    assert parse_norm_text("1\n1e-4299\n") == NormTable([1, Fraction(1, 10**4299)])
+    for huge in ("1e4300", "1e-4300", "1e2000000", "7" * 4301):
+        start = time.perf_counter()
+        with pytest.raises(ParseError, match="at most 4300 digits") as exc:
+            parse_norm_text(f"1\n {huge}\n")
+        assert time.perf_counter() - start < 0.5
+        assert (exc.value.line, exc.value.column) == (2, 2)
+
+
 def test_load_norm_table(tmp_path):
     path = tmp_path / "norm.txt"
     path.write_text("1\n1\n2\n1\n")

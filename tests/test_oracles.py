@@ -4,12 +4,14 @@ Each kernel under test takes a shortcut: Light's associativity test in
 ``validate``, integer cross-multiplication in ``check_submultiplicative``,
 the bounded integer rounds of ``submultiplicative_envelope``, the
 quadratic lower sets of ``natural_order``, the single gate of
-``run_suite`` and the integer Laplace program of ``compound``.  The
-references here are written from the definitions alone and share no code
+``run_suite``, the integer Laplace program of ``compound`` and the
+split-based tokenizer of the three text parsers.  The references here are written from the definitions alone and share no code
 with those kernels; hypothesis draws the inputs.
 """
 
 import itertools
+import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -21,6 +23,7 @@ from semnorms import (
     FAIL,
     INAPPLICABLE,
     FiniteSemigroup,
+    ParseError,
     RatMatrix,
     builtin_semigroup,
     check_submultiplicative,
@@ -29,6 +32,9 @@ from semnorms import (
     minor,
     natural_leq,
     natural_order,
+    parse_cayley_text,
+    parse_matrix_text,
+    parse_norm_text,
     random_submultiplicative_norms,
     run_suite,
     submultiplicative_envelope,
@@ -392,3 +398,261 @@ def test_compound_rejects_orders_outside_the_shape():
     for k in (0, -1, 3, 4):
         with pytest.raises(ValueError, match="0 < k <= min"):
             compound(a, k)
+
+
+# ---------------------------------------------------------------------------
+# The three text parsers against a regex tokenizer.
+
+BOUND_MESSAGE = (
+    "a rational may spell out at most 4300 digits in its numerator and in its denominator"
+)
+
+# Whitespace inside a line, and the line breaks of str.splitlines().
+SPACES = (" ", "\t", "\xa0", "\x1f", " ", "　")
+LINE_BREAKS = ("\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", " ")
+
+INT_TOKENS = ("0", "1", "2", "-1", "+2", "1_0", "٣")
+RATIONAL_TOKENS = ("1/2", "-3/4", "0.25", ".5", "1.", "1e-3", "2E2", "1_0/3", "+7/5", "0e9")
+JUNK_TOKENS = (
+    "x", "#", "1/0", "1/2/3", "--1", "1e", "1.d", "1__0", "labels", "labels:", "labels:1", "Ⅷ",
+)
+HUGE_TOKENS = (
+    "1e4299", "1e4300", "-1e-4299", "1e-4300", "1e5000", "1e99999", "1e100000", "0e100000",
+    "9" * 4300, "9" * 4301, "1/" + "7" * 4301, "0." + "0" * 4298 + "1", "0." + "0" * 4299 + "1",
+    "1" * 4299 + ".5e1", "1" * 4299 + ".5e2",
+)
+ANY_TOKEN = st.sampled_from(INT_TOKENS + RATIONAL_TOKENS + JUNK_TOKENS + HUGE_TOKENS)
+
+
+def regex_tokens(line_no, line, offset=0):
+    return [(line_no, offset + m.start() + 1, m.group()) for m in re.finditer(r"\S+", line[offset:])]
+
+
+def spelled_digits(token):
+    """Digits of the numerator and the denominator a literal writes out
+    before any cancellation: p/q writes p and q; w.f with exponent x
+    writes wf and x - len(f) zeros over a 1 and len(f) - x zeros."""
+    body = token.lstrip("+-").replace("_", "")
+    if "/" in body:
+        p, q = body.split("/")
+        return len(p), len(q)
+    mantissa, _, exponent = body.replace("E", "e").partition("e")
+    whole, _, fraction = mantissa.partition(".")
+    shift = int(exponent or 0) - len(fraction)
+    return len(whole) + len(fraction) + max(shift, 0), 1 + max(-shift, 0)
+
+
+def ref_count(n):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        digits = str(n)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    return digits if len(digits) <= 4300 else "more than 10**4300"
+
+
+def ref_int(where, what="an integer"):
+    line_no, col, token = where
+    try:
+        return int(token)
+    except ValueError:
+        raise ParseError(f"expected {what}, got {token!r}", line_no, col) from None
+
+
+def ref_rational(where):
+    line_no, col, token = where
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        value = Fraction(token)
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(
+            f"expected a rational like 3, -1/2 or 0.25, got {token!r}", line_no, col
+        ) from None
+    finally:
+        sys.set_int_max_str_digits(limit)
+    if max(spelled_digits(token)) > 4300:
+        raise ParseError(BOUND_MESSAGE, line_no, col)
+    return value
+
+
+def ref_cayley(text):
+    lines = text.splitlines()
+    last = max(len(lines), 1)
+    body, labels = [], None
+    for line_no, line in enumerate(lines, start=1):
+        head = re.match(r"\s*labels:", line)
+        if labels is None and head:
+            labels = regex_tokens(line_no, line, head.end())
+        else:
+            (body if labels is None else labels).extend(regex_tokens(line_no, line))
+    if not body:
+        raise ParseError("missing table order", last, 1)
+    n = ref_int(body[0])
+    if n <= 0:
+        raise ParseError(f"order must be positive, got {n}", *body[0][:2])
+    entries = body[1:]
+    if len(entries) < n * n:
+        raise ParseError(
+            f"expected {ref_count(n * n)} table entries, found {len(entries)}", last, 1
+        )
+    if len(entries) > n * n:
+        line_no, col, token = entries[n * n]
+        raise ParseError(f"unexpected extra token {token!r}", line_no, col)
+    values = [ref_int(e) for e in entries]
+    rows = [values[i * n:(i + 1) * n] for i in range(n)]
+    if labels is None:
+        return rows, None
+    if len(labels) != n:
+        raise ParseError(f"expected {n} labels, found {len(labels)}", labels[0][0] if labels else last, 1)
+    return rows, [ref_rational(e) for e in labels]
+
+
+def ref_matrix(text):
+    lines = text.splitlines()
+    last = max(len(lines), 1)
+    tokens = [t for line_no, line in enumerate(lines, start=1) for t in regex_tokens(line_no, line)]
+    if len(tokens) < 2:
+        raise ParseError("missing matrix dimensions", last, 1)
+    rows = ref_int(tokens[0], "row count")
+    cols = ref_int(tokens[1], "column count")
+    if rows < 1 or cols < 1:
+        raise ParseError("matrix dimensions must be positive", *tokens[0][:2])
+    if len(tokens) - 2 != rows * cols:
+        raise ParseError(
+            f"expected {ref_count(rows * cols)} entries for a {rows}x{cols} matrix, "
+            f"found {len(tokens) - 2}",
+            last,
+            1,
+        )
+    return rows, cols, tuple(ref_rational(t) for t in tokens[2:])
+
+
+def ref_norm(text):
+    values = []
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        tokens = regex_tokens(line_no, line)
+        if not tokens:
+            continue
+        if len(tokens) > 1:
+            raise ParseError("expected one value per line", line_no, 1)
+        value = ref_rational(tokens[0])
+        if value < 0:
+            raise ParseError(f"norm values must be nonnegative, got {value}", *tokens[0][:2])
+        values.append(value)
+    return tuple(values)
+
+
+def outcome(parse, text):
+    """The result, or the message, line and column of the ParseError; any
+    other exception fails the test."""
+    try:
+        return "ok", parse(text)
+    except ParseError as exc:
+        return "error", str(exc), exc.line, exc.column
+
+
+@st.composite
+def mutated(draw, tokens):
+    """Up to two tokens replaced, dropped or added."""
+    tokens = list(tokens)
+    for _ in range(draw(st.integers(0, 2))):
+        kind = draw(st.sampled_from(("replace", "drop", "add")))
+        if kind == "add" or not tokens:
+            tokens.insert(draw(st.integers(0, len(tokens))), draw(ANY_TOKEN))
+        elif kind == "drop":
+            tokens.pop(draw(st.integers(0, len(tokens) - 1)))
+        else:
+            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(ANY_TOKEN)
+    return tokens
+
+
+@st.composite
+def laid_out(draw, lines):
+    """Lines of tokens as text: Unicode whitespace around and between the
+    tokens, blank lines, and every kind of line break."""
+    spaces = st.text(st.sampled_from(SPACES), min_size=1, max_size=3)
+    out = []
+    for words in lines:
+        if draw(st.integers(0, 4)) == 0:
+            out.append(draw(st.sampled_from(("", " ", "\t　"))))
+        lead = draw(spaces) if draw(st.booleans()) else ""
+        trail = draw(spaces) if draw(st.booleans()) else ""
+        out.append(lead + "".join(w + draw(spaces) for w in words[:-1]) + "".join(words[-1:]) + trail)
+    breaks = [draw(st.sampled_from(LINE_BREAKS)) for _ in out]
+    return "".join(line + brk for line, brk in zip(out, breaks))
+
+
+@st.composite
+def spread(draw, tokens):
+    """Tokens cut into lines at drawn places."""
+    lines, line = [], []
+    for token in tokens:
+        line.append(token)
+        if draw(st.booleans()):
+            lines.append(line)
+            line = []
+    return lines + [line]
+
+
+@st.composite
+def cayley_texts(draw):
+    n = draw(st.integers(1, 3))
+    body = [str(n)] + [str(draw(st.integers(0, n - 1))) for _ in range(n * n)]
+    lines = draw(spread(draw(mutated(body))))
+    placement = draw(st.sampled_from((None, "same line", "glued", "following lines")))
+    if placement is not None:
+        labels = draw(mutated(draw(st.lists(st.sampled_from(RATIONAL_TOKENS), min_size=n, max_size=n))))
+        if placement == "following lines":
+            lines += [["labels:"]] + draw(spread(labels))
+        elif placement == "glued" and labels:
+            lines += [["labels:" + labels[0]] + labels[1:]]
+        else:
+            lines += [["labels:"] + labels]
+    return draw(laid_out(lines))
+
+
+@st.composite
+def matrix_texts(draw):
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    entries = [str(rows), str(cols)] + [
+        draw(st.sampled_from(INT_TOKENS + RATIONAL_TOKENS)) for _ in range(rows * cols)
+    ]
+    return draw(laid_out(draw(spread(draw(mutated(entries))))))
+
+
+@st.composite
+def norm_texts(draw):
+    values = draw(mutated(draw(st.lists(st.sampled_from(INT_TOKENS + RATIONAL_TOKENS), max_size=4))))
+    lines = [[v] for v in values]
+    if lines and draw(st.integers(0, 2)) == 0:
+        lines[draw(st.integers(0, len(lines) - 1))].append(draw(ANY_TOKEN))
+    return draw(laid_out(lines))
+
+
+def arbitrary_texts():
+    pieces = SPACES + LINE_BREAKS + ("labels:", "1", "0", "-", "/", ".", "e", "_", "x", "٣")
+    return st.lists(st.sampled_from(pieces), max_size=30).map("".join)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(cayley_texts(), arbitrary_texts()))
+def test_parse_cayley_text_matches_a_regex_tokenizer(text):
+    assert outcome(parse_cayley_text, text) == outcome(ref_cayley, text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(matrix_texts(), arbitrary_texts()))
+def test_parse_matrix_text_matches_a_regex_tokenizer(text):
+    def parse(t):
+        a = parse_matrix_text(t)
+        return a.rows, a.cols, a.entries
+
+    assert outcome(parse, text) == outcome(ref_matrix, text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(norm_texts(), arbitrary_texts()))
+def test_parse_norm_text_matches_a_regex_tokenizer(text):
+    assert outcome(lambda t: parse_norm_text(t).values, text) == outcome(ref_norm, text)

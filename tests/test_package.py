@@ -1,0 +1,91 @@
+"""The package namespace: every public name, loaded on first use.
+
+Import order matters only in a fresh interpreter, so those checks run in
+one; the rest run here.
+"""
+
+import subprocess
+import sys
+import types
+
+import pytest
+
+import semnorms
+
+
+def fresh(code):
+    """stdout of ``code`` run in a fresh interpreter."""
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=30
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout.strip()
+
+
+def test_importing_the_package_loads_no_submodule():
+    code = "import sys, semnorms; print(sorted(m for m in sys.modules if m.startswith('semnorms')))"
+    assert fresh(code) == "['semnorms']"
+
+
+def test_a_name_loads_only_its_own_module():
+    code = (
+        "import sys; from semnorms import minor_norm; "
+        "print(sorted(m for m in sys.modules if m.startswith('semnorms')))"
+    )
+    assert fresh(code) == "['semnorms', 'semnorms.errors', 'semnorms.matrices']"
+
+
+@pytest.mark.parametrize(
+    "first",
+    [
+        "",
+        "import semnorms.natural_order",
+        "import semnorms.propositions",
+        "from semnorms.natural_order import OrderRelation",
+        "from semnorms import natural_order as f; import semnorms.propositions",
+    ],
+)
+def test_natural_order_is_the_function_whatever_was_imported_first(first):
+    # natural_order names both a submodule and the function it defines;
+    # importing the submodule must not hide the function.
+    code = (
+        f"{first}\n"
+        "import sys, semnorms\n"
+        "from semnorms import natural_order\n"
+        "function = sys.modules['semnorms.natural_order'].natural_order\n"
+        "print(natural_order is function, semnorms.natural_order is function)"
+    )
+    assert fresh(code) == "True True"
+
+
+def test_every_public_name_resolves():
+    assert semnorms.__all__ == sorted(set(semnorms.__all__))
+    for name in semnorms.__all__:
+        value = getattr(semnorms, name)
+        assert not isinstance(value, types.ModuleType), name
+        module = getattr(value, "__module__", None)
+        if isinstance(value, (type, types.FunctionType)):
+            assert module.startswith("semnorms."), name
+
+
+def test_star_import_binds_exactly_the_public_names():
+    namespace = {}
+    exec("from semnorms import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(semnorms.__all__)
+    assert namespace["natural_order"] is semnorms.natural_order
+
+
+def test_dir_lists_every_public_name():
+    assert set(semnorms.__all__) <= set(dir(semnorms))
+
+
+def test_submodules_stay_reachable_as_attributes():
+    code = "import semnorms; print(semnorms.norms.__name__, semnorms.matrices.WORK_BUDGET > 0)"
+    assert fresh(code) == "semnorms.norms True"
+
+
+def test_unknown_names_raise():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        semnorms.no_such_name
+    with pytest.raises(ImportError):
+        exec("from semnorms import no_such_name", {})

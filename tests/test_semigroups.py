@@ -5,6 +5,7 @@ fact asserted below was computed independently from those tables before
 the assertions were written.
 """
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -369,6 +370,19 @@ def test_parse_label_count_mismatch():
 def test_parse_bad_label():
     with pytest.raises(ParseError, match="expected a rational"):
         parse_cayley_text("2\n0 1\n1 0\nlabels: 1 x\n")
+
+
+def test_parse_bounds_label_literals():
+    # A label may spell out at most 4300 digits above and below the line,
+    # counted before cancellation, so 1e2000000 is refused without work.
+    _, labels = parse_cayley_text("1\n0\nlabels: 1e4299\n")
+    assert labels == [Fraction(10**4299)]
+    for huge in ("1e4300", "1e-4300", "1e2000000", "1/" + "3" * 4301):
+        start = time.perf_counter()
+        with pytest.raises(ParseError, match="at most 4300 digits") as exc:
+            parse_cayley_text(f"1\n0\nlabels:  {huge}\n")
+        assert time.perf_counter() - start < 0.5
+        assert (exc.value.line, exc.value.column) == (3, 10)
 
 
 def test_load_cayley_table(tmp_path):
