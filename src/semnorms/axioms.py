@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NOTATIONS
+from .errors import NOTATIONS, exact_text
 from .norms import NormTable, _coerce, _numerators_denominators
 from .semigroups import FiniteSemigroup, zero_elements
 
@@ -47,7 +47,10 @@ class AxiomVerdict:
     def to_jsonable(self) -> dict:
         out = {"definition": self.definition, "axiom": self.axiom, "status": self.status}
         if self.witness is not None:
-            out["witness"] = [str(x) if isinstance(x, Fraction) else x for x in self.witness]
+            what = f"the witness value of {self.definition}.{self.axiom}"
+            out["witness"] = [
+                exact_text(x, what) if isinstance(x, Fraction) else x for x in self.witness
+            ]
         if self.note:
             out["note"] = self.note
         return out

@@ -26,6 +26,7 @@ from .errors import (
     NormConstructionError,
     NormDomainError,
     ParseError,
+    exact_text,
     rational,
 )
 
@@ -187,7 +188,10 @@ def cmd_minor_norm(args) -> int:
         "n": a.rows,
         "k": args.k,
         "rank": rank(a),
-        "norm_value": nearest_float(value) if args.mode == "float" else str(value),
+        "norm_value": (
+            nearest_float(value) if args.mode == "float"
+            else exact_text(value, f"the order-{args.k} norm")
+        ),
         "norm_nonzero": value != 0,
     }
     _emit(out, args.format)

@@ -63,6 +63,18 @@ def printable_count(n: int) -> str:
     return str(n) if n < 10**LITERAL_DIGITS else f"more than 10**{LITERAL_DIGITS}"
 
 
+def exact_text(value: Fraction, what: str) -> str:
+    """``str(value)`` for a report.  A value computed from the input, such
+    as a product of two literals, can pass the digits ``str`` prints;
+    then ValueError names ``what`` and the bound, and nothing is built."""
+    if max(abs(value.numerator), value.denominator) >= 10**LITERAL_DIGITS:
+        raise ValueError(
+            f"{what} has more than {LITERAL_DIGITS} digits in its numerator "
+            "or its denominator, more than a report prints"
+        )
+    return str(value)
+
+
 # ---------------------------------------------------------------------------
 # Tokens.
 

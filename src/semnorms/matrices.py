@@ -4,18 +4,26 @@ The order-k norm of a square matrix of order n is binom(n, k) times the
 largest absolute value of an order-k minor.  It is zero exactly when the
 rank is below k, it is submultiplicative for matrix products, and for
 k = n it reduces to |det| while for k = 1 it is n times the largest
-absolute entry.  Everything here is exact.  One kernel, ``compound``,
-enumerates the minors: the norm, its float rounding and the right side
-of Cauchy-Binet all read it, and ``det``/``minor`` (Bareiss) stay as
-the independent reference it is tested against.
+absolute entry.  Everything here is exact, and computed on integers: each
+row (or column) is scaled by the lcm of its denominators, and a Fraction
+is built only for each entry of a result.
+
+Two kernels do the work.  ``compound`` enumerates the minors by one
+integer Laplace program; the norm, its float rounding and the right side
+of Cauchy-Binet all read it.  ``_eliminate``, one Bareiss fraction-free
+elimination, gives ``det`` (and ``minor`` through it), ``rank`` and the
+pivots of ``generalized_inverse``; ``det`` is the independent reference
+the Laplace program is tested against.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import ParseError, Tokens, printable_count, rational
@@ -34,7 +42,7 @@ class RatMatrix:
             raise ValueError("matrix dimensions must be integers")
         if self.rows < 1 or self.cols < 1:
             raise ValueError("matrix dimensions must be positive")
-        entries = tuple(Fraction(x) for x in self.entries)
+        entries = tuple(x if type(x) is Fraction else Fraction(x) for x in self.entries)
         if len(entries) != self.rows * self.cols:
             raise ValueError(
                 f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} "
@@ -99,16 +107,37 @@ class RatMatrix:
         return f"RatMatrix({self.rows}x{self.cols})"
 
 
+def _scaled_rows(lines: Iterable[Sequence[Fraction]]) -> tuple[list[int], list[list[int]]]:
+    """Each line (a row or a column) times s, the lcm of its
+    denominators, which makes it integral; returns the scales s and the
+    integer lines."""
+    scales, grid = [], []
+    for line in lines:
+        scale = math.lcm(*(x.denominator for x in line))
+        scales.append(scale)
+        grid.append([x.numerator * (scale // x.denominator) for x in line])
+    return scales, grid
+
+
+def _products(rows: Sequence[Sequence[int]], cols: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The integer matrix of every dot product of a row with a column."""
+    return [[sum(map(mul, row, col)) for col in cols] for row in rows]
+
+
 def mat_mul(a: RatMatrix, b: RatMatrix) -> RatMatrix:
+    """The product a @ b on integers.  Row i of a is scaled by s_i and
+    column j of b by t_j (``_scaled_rows``), so entry (i, j) of the
+    product is one integer dot product over s_i * t_j, and it is the only
+    Fraction built for that entry."""
     if a.cols != b.rows:
         raise ValueError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    n, inner, m = a.rows, a.cols, b.cols
-    out = []
-    for i in range(n):
-        arow = a.entries[i * inner:(i + 1) * inner]
-        for j in range(m):
-            out.append(sum((arow[t] * b.entries[t * m + j] for t in range(inner)), Fraction(0)))
-    return RatMatrix(n, m, tuple(out))
+    s, rows = _scaled_rows(a.to_rows())
+    t, cols = _scaled_rows([b.entries[j::b.cols] for j in range(b.cols)])
+    return RatMatrix(a.rows, b.cols, tuple(
+        Fraction(dot, si * tj)
+        for si, dots in zip(s, _products(rows, cols))
+        for tj, dot in zip(t, dots)
+    ))
 
 
 def _require_square(a: RatMatrix) -> None:
@@ -116,39 +145,66 @@ def _require_square(a: RatMatrix) -> None:
         raise ValueError(f"need a square matrix, got {a.rows}x{a.cols}")
 
 
-def det(a: RatMatrix) -> Fraction:
-    """Determinant by fraction-free Bareiss elimination.
+def _eliminate(grid: list[list[int]]) -> tuple[list[int], list[int], int]:
+    """Bareiss fraction-free forward elimination of an integer matrix
+    (Bareiss 1968, "Sylvester's identity and multistep
+    integer-preserving Gaussian elimination").
 
-    Each row is first scaled to integers by its denominator lcm, keeping
-    all intermediate values integral and small; the result is rescaled at
-    the end.
+    Columns are taken from left to right.  A column whose remaining rows
+    are all zero is passed over; otherwise the first remaining row with a
+    nonzero entry there becomes the next pivot row, and every other
+    remaining row x is replaced by (p * x - x_c * y) / q, where y is the
+    pivot row, p = y_c its pivot and q the previous pivot (1 at first).
+    Returns the pivot rows (indices into grid, in pivot order), the pivot
+    columns and the last pivot (1 when there is none).
+
+    - Each step replaces x by p / q times the Gaussian step x - (x_c / p) y,
+      and p / q is nonzero, so the zero pattern, the pivots chosen and
+      their number are those of Gaussian elimination: the pivots number
+      the rank, and grid restricted to the pivot rows and columns is
+      invertible.
+    - Exactness, by Sylvester's identity: after pivots on rows p_1..p_j
+      and columns c_1..c_j, the entry kept for a remaining row i and a
+      later column c is the minor of grid on rows (p_1, ..., p_j, i), in
+      that order, and columns (c_1, ..., c_j, c).  So every division is
+      exact and entries stay as small as minors.
+    - The last pivot is the minor on all pivot rows, in pivot order, and
+      all pivot columns.  For a square grid of full rank that is det(grid)
+      times the sign of the pivot-row permutation.
     """
-    _require_square(a)
-    n = a.rows
-    scale = Fraction(1)
-    m: list[list[int]] = []
-    for i in range(n):
-        row = [a.entry(i, j) for j in range(n)]
-        lcm = math.lcm(*(x.denominator for x in row))
-        scale *= lcm
-        m.append([int(x * lcm) for x in row])
-    sign = 1
+    active = list(enumerate(grid))  # (row index, its entries from the current column on)
+    pivot_rows, pivot_cols = [], []
     prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return Fraction(0)
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return Fraction(sign * m[n - 1][n - 1]) / scale
+    for c in range(len(grid[0])):
+        found = next((i for i, (_, row) in enumerate(active) if row[0]), None)
+        if found is None:
+            active = [(i, row[1:]) for i, row in active]
+            continue
+        r, pivot = active.pop(found)
+        pivot_rows.append(r)
+        pivot_cols.append(c)
+        lead, rest = pivot[0], pivot[1:]
+        active = [
+            (i, [(lead * x - row[0] * y) // prev for x, y in zip(row[1:], rest)])
+            for i, row in active
+        ]
+        prev = lead
+        if not active:
+            break
+    return pivot_rows, pivot_cols, prev
+
+
+def det(a: RatMatrix) -> Fraction:
+    """Determinant by Bareiss elimination (``_eliminate``) on rows scaled
+    to integers.  The determinant is linear in each row, so the scaled
+    determinant is the product of the row scales times det(a)."""
+    _require_square(a)
+    scales, grid = _scaled_rows(a.to_rows())
+    rows, _, last = _eliminate(grid)
+    if len(rows) < a.rows:
+        return Fraction(0)
+    inversions = sum(x > y for i, x in enumerate(rows) for y in rows[i + 1:])
+    return Fraction(-last if inversions % 2 else last, math.prod(scales))
 
 
 def _check_subset(name: str, subset: Sequence[int], bound: int) -> tuple[int, ...]:
@@ -177,23 +233,38 @@ def minor(a: RatMatrix, row_subset: Sequence[int], col_subset: Sequence[int]) ->
 
 
 # Most steps one computation may take.  A step is one integer
-# multiply-add, 0.5 to 1.6 microseconds in CPython on a 2-core Xeon; the
-# estimates below count the Fraction work of building minors and
-# pseudoinverses in the same unit.  At the budget a compound takes 2 to
-# 4 s and under 100 MB besides its input.
+# multiply-add of one-digit operands, 0.2 to 1.6 microseconds in CPython
+# on a 2-core Xeon; the estimates below count the work of building
+# Fractions in the same unit, and multiply by ``_limbs`` for wider
+# entries.  At the budget, with one-digit entries, a compound takes 0.7
+# to 1.4 s and its norm 0.4 to 0.6 s, under 100 MB besides the input.
 WORK_BUDGET = 3_000_000
 
-# Steps per Fraction multiply-subtract of the elimination in ``rank``.  On
-# square matrices with entries p/q, |p| <= 9 and 1 <= q <= 6, it took 4.0
-# to 8.7 microseconds per cubed order at orders 20 to 120 on a 2-core
-# Xeon; the largest admitted order, 75, took 2.9 to 3.7 s.  Entries with
-# many-digit coprime denominators are slower: order 40 took 22 s.
+# Steps per multiply-subtract of the Bareiss elimination in ``rank``.
+# Measured on a 2-core Xeon: with entries p/q, |p| <= 9 and 1 <= q <= 6,
+# 0.2 to 0.56 microseconds per cubed order at orders 20 to 120 (order 75
+# in 0.14 s); with |p|, q <= 10**6, 0.16 to 3.6 microseconds per cubed
+# order and machine digit at orders 10 to 40 (order 40, 21 digits, in
+# 4.8 s).  That would allow a weight near 1, but any weight below 7 admits
+# orders refused before, so it stays 7: the largest admitted rank takes
+# about 0.25 s.
 RANK_STEP_WEIGHT = 7
+
+# Bits per machine digit of a Python int.
+_LIMB_BITS = sys.int_info.bits_per_digit
 
 
 def _check_work_budget(steps: int, what: str) -> None:
     if steps > WORK_BUDGET:
         raise ValueError(f"{what} needs about {steps} steps, over the budget of {WORK_BUDGET}")
+
+
+def _limbs(grid: list[list[int]]) -> int:
+    """Machine digits of the largest |entry| of an integer grid, at least
+    one: the factor by which its entries' size multiplies a kernel's
+    step estimate."""
+    bits = max(abs(x).bit_length() for row in grid for x in row)
+    return max(1, -(-bits // _LIMB_BITS))
 
 
 def _compound_steps(rows: int, cols: int, k: int) -> int:
@@ -232,34 +303,38 @@ def compound(a: RatMatrix, k: int) -> RatMatrix:
     Level j thus holds C(rows - k + j, j) * C(cols, j) entries of j
     multiply-adds each, and two levels are held at once.  The levels can
     far outnumber the final minors: for k = n they hold 2**n entries for
-    a single minor.  ValueError is raised, before anything is built, for
-    k outside 0 < k <= min(rows, cols) or when the program needs more
-    than WORK_BUDGET steps.
+    a single minor.  ValueError is raised, before the program runs, for
+    k outside 0 < k <= min(rows, cols) or when it needs more than
+    WORK_BUDGET steps, counted as ``_compound_steps`` times the machine
+    digits of the largest scaled entry (``_limbs``).
     """
-    if not isinstance(k, int) or not 0 < k <= min(a.rows, a.cols):
-        raise ValueError(
-            f"compound order must satisfy 0 < k <= min(rows, cols), "
-            f"got k={k} for a {a.rows}x{a.cols} matrix"
-        )
-    _check_work_budget(
-        _compound_steps(a.rows, a.cols, k),
-        f"the order-{k} compound of a {a.rows}x{a.cols} matrix",
-    )
-    scales, grid = [], []
-    for i in range(a.rows):
-        row = a.entries[i * a.cols:(i + 1) * a.cols]
-        scale = math.lcm(*(x.denominator for x in row))
-        scales.append(scale)
-        grid.append([x.numerator * (scale // x.denominator) for x in row])
-    last = a.rows - k  # a size-j prefix ends on a row <= last + j - 1
-    level = {(r,): grid[r] for r in range(last + 1)}
-    for j in range(1, k):
-        level = _laplace_level(level, grid, a.cols, j, last)
+    scales, level = _minor_levels(a, k)
     entries = []
     for r_set, values in level.items():
         scale = math.prod(scales[r] for r in r_set)
         entries.extend(Fraction(v, scale) for v in values)
     return RatMatrix(len(level), math.comb(a.cols, k), tuple(entries))
+
+
+def _minor_levels(a: RatMatrix, k: int) -> tuple[list[int], dict]:
+    """The checks and the program of ``compound``: the row scales, and the
+    last level, which maps each k-subset of rows to its scaled integer
+    minors in the order of itertools.combinations(range(cols), k)."""
+    if not isinstance(k, int) or not 0 < k <= min(a.rows, a.cols):
+        raise ValueError(
+            f"compound order must satisfy 0 < k <= min(rows, cols), "
+            f"got k={k} for a {a.rows}x{a.cols} matrix"
+        )
+    scales, grid = _scaled_rows(a.to_rows())
+    _check_work_budget(
+        _compound_steps(a.rows, a.cols, k) * _limbs(grid),
+        f"the order-{k} compound of a {a.rows}x{a.cols} matrix",
+    )
+    last = a.rows - k  # a size-j prefix ends on a row <= last + j - 1
+    level = {(r,): grid[r] for r in range(last + 1)}
+    for j in range(1, k):
+        level = _laplace_level(level, grid, a.cols, j, last)
+    return scales, level
 
 
 def _laplace_level(level: dict, grid: list, cols: int, j: int, last: int) -> dict:
@@ -304,10 +379,18 @@ class MinorNormParams:
 
 
 def minor_norm(a: RatMatrix, k: int) -> Fraction:
-    """binom(n, k) times the largest |order-k minor| of a square matrix."""
+    """binom(n, k) times the largest |order-k minor| of a square matrix.
+
+    It reads the integer minors of ``compound`` and builds one Fraction
+    per k-subset of rows, from the largest |minor| on it: the minors on
+    one row set share the scale of those rows."""
     _require_square(a)
     params = MinorNormParams(a.rows, k)
-    return params.coefficient * max(abs(x) for x in compound(a, k).entries)
+    scales, level = _minor_levels(a, k)
+    return params.coefficient * max(
+        Fraction(max(map(abs, values)), math.prod(scales[r] for r in r_set))
+        for r_set, values in level.items()
+    )
 
 
 def nearest_float(value: Fraction) -> float:
@@ -332,8 +415,10 @@ def cauchy_binet(alpha: RatMatrix, beta: RatMatrix) -> tuple[Fraction, Fraction]
     Bareiss determinant of the product.  The right side is the single
     entry of compound(alpha, k) @ compound(beta, k): the compound of
     alpha is the 1 x C(n, k) row of its maximal minors, that of beta the
-    matching column.  The two sides share no code and are returned so
-    callers can assert equality rather than trust it.
+    matching column.  The two sides share only ``mat_mul``; the left
+    side's determinant is the Bareiss elimination and the right side's
+    minors the Laplace program, and both are returned so callers can
+    assert equality rather than trust it.
     """
     k, n = alpha.rows, alpha.cols
     if beta.rows != n or beta.cols != k:
@@ -347,83 +432,86 @@ def cauchy_binet(alpha: RatMatrix, beta: RatMatrix) -> tuple[Fraction, Fraction]
     return lhs, rhs
 
 
-def _rref(a: RatMatrix) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form and the pivot column indices."""
-    m = a.to_rows()
-    pivots: list[int] = []
-    row = 0
-    for col in range(a.cols):
-        pivot = next((i for i in range(row, a.rows) if m[i][col] != 0), None)
-        if pivot is None:
-            continue
-        m[row], m[pivot] = m[pivot], m[row]
-        lead = m[row][col]
-        m[row] = [x / lead for x in m[row]]
-        for i in range(a.rows):
-            if i != row and m[i][col] != 0:
-                factor = m[i][col]
-                m[i] = [x - factor * y for x, y in zip(m[i], m[row])]
-        pivots.append(col)
-        row += 1
-        if row == a.rows:
-            break
-    return m, pivots
-
-
 def rank(a: RatMatrix) -> int:
-    """Exact rank via rational elimination; any shape.
+    """Exact rank: the number of Bareiss pivots (``_eliminate``) of a with
+    its rows scaled to integers; any shape.
 
-    The elimination does at most rows * cols * min(rows, cols) Fraction
-    multiply-subtracts, counted as RANK_STEP_WEIGHT steps each; ValueError
-    is raised before it starts when that is over WORK_BUDGET.
+    The elimination does at most rows * cols * min(rows, cols)
+    multiply-subtracts of entries that grow to the size of minors.  Each
+    counts RANK_STEP_WEIGHT steps times the machine digits of the largest
+    scaled entry (``_limbs``); ValueError is raised before it starts when
+    that is over WORK_BUDGET.
     """
+    _, grid = _scaled_rows(a.to_rows())
     _check_work_budget(
-        RANK_STEP_WEIGHT * a.rows * a.cols * min(a.rows, a.cols),
+        RANK_STEP_WEIGHT * a.rows * a.cols * min(a.rows, a.cols) * _limbs(grid),
         f"the rank of a {a.rows}x{a.cols} matrix",
     )
-    return len(_rref(a)[1])
+    return len(_eliminate(grid)[0])
 
 
-def _inverse(a: RatMatrix) -> RatMatrix:
-    """Inverse of a square full-rank matrix by Gauss-Jordan on [a | I]."""
-    n = a.rows
-    aug = RatMatrix(
-        n,
-        2 * n,
-        tuple(
-            a.entry(i, j) if j < n else Fraction(int(j - n == i))
-            for i in range(n)
-            for j in range(2 * n)
-        ),
-    )
-    m, pivots = _rref(aug)
-    if pivots[:n] != list(range(n)):
-        raise ValueError("matrix is singular")
-    return RatMatrix(n, n, tuple(m[i][j] for i in range(n) for j in range(n, 2 * n)))
+def _solve(k: list[list[int]], b: list[list[int]]) -> tuple[list[list[int]], int]:
+    """Y and D with k^-1 b = Y / D, for an invertible integer r x r
+    matrix k and an integer r x m matrix b, by fraction-free Gauss-Jordan
+    on [k | b]: the Bareiss step of ``_eliminate`` applied to every row
+    but the pivot row, rows above it included.  After the j-th step the
+    left block's first j columns are the j-th pivot times those of the
+    identity, and every entry is a minor of [k | b] (Cramer's rule), so
+    each division is exact; at the end the left block is D times the
+    identity, and D is det(k) up to sign."""
+    m = [kr + br for kr, br in zip(k, b)]
+    r = len(m)
+    prev = 1
+    for c in range(r):
+        found = next(i for i in range(c, r) if m[i][c])
+        m[c], m[found] = m[found], m[c]
+        pivot = m[c]
+        lead = pivot[c]
+        m = [
+            row if i == c else [(lead * x - row[c] * y) // prev for x, y in zip(row, pivot)]
+            for i, row in enumerate(m)
+        ]
+        prev = lead
+    return [row[r:] for row in m], prev
 
 
 def generalized_inverse(a: RatMatrix) -> RatMatrix:
-    """Moore-Penrose inverse of a square rational matrix, exactly.
+    """Moore-Penrose inverse of a square rational matrix, exactly, on
+    integers.
 
-    Uses the rank factorization a = C R (C: pivot columns of a, R: the
-    nonzero rows of the reduced echelon form), for which the inverse is
-    R^T (R R^T)^-1 (C^T C)^-1 C^T.  The defining identities a g a = a and
+    Let d be the lcm of all denominators, so that A = d a is integral.
+    Bareiss elimination (``_eliminate``) picks pivot rows P and columns Q,
+    r = rank A of each, with W = A[P, Q] invertible.  Let C = A[:, Q] and
+    R = A[P, :].  Then
+
+        a^+ = d R^T (C^T A R^T)^-1 C^T.
+
+    Proof.  The rows R are independent and as many as the rank, so A = X R
+    for some X; on the columns Q this reads C = X W, so A = C M R with
+    M = W^-1 invertible.  C has full column rank and G = M R full row
+    rank, so the full-rank factorization A = C G gives the usual
+    A^+ = G^T (C^T A G^T)^-1 C^T, in which the factors M^T cancel:
+    G^T (C^T A R^T M^T)^-1 = R^T M^T M^-T (C^T A R^T)^-1.  Finally
+    a^+ = (A / d)^+ = d A^+.
+
+    K = C^T A R^T is an r x r integer matrix; ``_solve`` gives
+    K^-1 C^T = Y / D with Y integral, so a^+ = d R^T Y / D and one
+    Fraction is built per entry.  The defining identities a g a = a and
     g a g = g are re-verified before returning.
     """
     _require_square(a)
     n = a.rows
-    rref_rows, pivots = _rref(a)
-    r = len(pivots)
-    if r == 0:
+    d = math.lcm(*(x.denominator for x in a.entries))
+    big_a = [[x.numerator * (d // x.denominator) for x in row] for row in a.to_rows()]
+    pivot_rows, pivot_cols, _ = _eliminate(big_a)
+    if not pivot_rows:
         return RatMatrix.zeros(n, n)
-    big_r = RatMatrix(r, n, tuple(rref_rows[i][j] for i in range(r) for j in range(n)))
-    big_c = RatMatrix(n, r, tuple(a.entry(i, j) for i in range(n) for j in pivots))
-    rt = big_r.transpose()
-    ct = big_c.transpose()
-    g = mat_mul(
-        mat_mul(rt, _inverse(mat_mul(big_r, rt))),
-        mat_mul(_inverse(mat_mul(ct, big_c)), ct),
-    )
+    ct = [[row[q] for row in big_a] for q in pivot_cols]
+    big_r = [big_a[p] for p in pivot_rows]
+    k = _products(_products(ct, list(zip(*big_a))), big_r)
+    y, den = _solve(k, ct)
+    numerators = _products(list(zip(*big_r)), list(zip(*y)))
+    g = RatMatrix(n, n, tuple(Fraction(d * x, den) for row in numerators for x in row))
     aga = mat_mul(mat_mul(a, g), a)
     gag = mat_mul(mat_mul(g, a), g)
     if aga != a or gag != g:  # pragma: no cover
@@ -526,8 +614,8 @@ def witness_sequence(n: int, k: int, m_max: int) -> WitnessReport:
     if m_max < 1:
         raise ValueError(f"m_max must be at least 1, got {m_max}")
     # Each point (and the limit) takes two compounds, and a pseudoinverse
-    # and a rank: about a dozen n x n Fraction products and eliminations,
-    # which 30 * n**3 steps and 400 for building the point cover.
+    # and a rank: about a dozen n x n products and eliminations, which
+    # 30 * n**3 steps and 400 for building the point cover.
     per_point = 2 * _compound_steps(n, n, k) + 30 * n**3 + 400
     _check_work_budget(
         (m_max + 1) * per_point, f"the witness sequence for n={n}, k={k}, m_max={m_max}"

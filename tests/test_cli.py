@@ -8,6 +8,7 @@ determinism across separate processes is covered by the acceptance suite.
 
 import json
 import math
+import random
 import re
 import subprocess
 import sys
@@ -206,6 +207,17 @@ def test_norm_check_huge_value_is_a_parse_error(capsys, tmp_path):
     assert "line 2, column 1: a rational may spell out at most 4300 digits" in err
 
 
+def test_norm_check_product_too_long_to_print_exits_2(capsys, tmp_path):
+    # Both values fit the literal bound; their product, a multiplicativity
+    # witness, does not.
+    norm = tmp_path / "huge.txt"
+    norm.write_text("1e4000\n1e4000\n")
+    code, out, err = run_cli(capsys, "norm-check", "z2", str(norm))
+    assert (code, out) == (2, "")
+    assert "wegmann.multiplicativity has more than 4300 digits" in err
+    assert "Traceback" not in err
+
+
 def test_norm_check_wrong_length(capsys, tmp_path):
     norm = tmp_path / "short.txt"
     norm.write_text("1\n")
@@ -356,6 +368,32 @@ def test_minor_norm_rank_over_the_work_budget_exits_2_at_once(capsys, tmp_path):
     assert int(re.search(r"about (\d+) steps", err).group(1)) >= 120**3
 
 
+def test_minor_norm_rank_of_many_digits_exits_2_at_once(capsys, tmp_path):
+    # Order 40 passes the shape bound of the rank, but entries p/q with
+    # |p|, q up to 10**6 scale rows to about 600 bits, and the Bareiss
+    # elimination took about 5 s; the estimate weighs those digits.
+    rng = random.Random(40)
+    entries = [f"{rng.randint(-10**6, 10**6)}/{rng.randint(1, 10**6)}" for _ in range(40 * 40)]
+    path = tmp_path / "digits.txt"
+    path.write_text("40 40\n" + " ".join(entries) + "\n")
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "minor-norm", str(path), "--k", "1")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert "rank of a 40x40 matrix" in err and "Traceback" not in err
+    assert int(re.search(r"about (\d+) steps", err).group(1)) > 7 * 40**3
+
+
+def test_minor_norm_too_long_to_print_exits_2(capsys, tmp_path):
+    # Each entry fits the literal bound; the order-2 norm, 10**8000, does not.
+    path = tmp_path / "huge.txt"
+    path.write_text("2 2\n1e4000 0\n0 1e4000\n")
+    code, out, err = run_cli(capsys, "minor-norm", str(path), "--k", "2")
+    assert (code, out) == (2, "")
+    assert "the order-2 norm has more than 4300 digits" in err
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # witness
 
@@ -429,6 +467,8 @@ def test_command_imports_only_what_it_runs(command, tmp_path):
     assert result.returncode == 0, result.stderr
     loaded = set(re.findall(r"^import 'semnorms\.(\w+)'", result.stderr, re.MULTILINE))
     assert loaded == {"cli", "errors"} | COMMAND_MODULES[command]
+    # The runtime is the standard library; these serve the tests only.
+    assert not re.findall(r"^import '(sympy|hypothesis|numpy)\b", result.stderr, re.MULTILINE)
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,12 @@ Each kernel under test takes a shortcut: Light's associativity test in
 ``validate``, integer cross-multiplication in ``check_submultiplicative``,
 the bounded integer rounds of ``submultiplicative_envelope``, the
 quadratic lower sets of ``natural_order``, the single gate of
-``run_suite``, the integer Laplace program of ``compound`` and the
-split-based tokenizer of the three text parsers.  The references here are written from the definitions alone and share no code
-with those kernels; hypothesis draws the inputs.
+``run_suite``, the integer Laplace program of ``compound``, the integer
+products of ``mat_mul``, the Bareiss elimination of ``rank`` and ``det``,
+the integer pseudoinverse and the split-based tokenizer of the three text
+parsers.  The references here are written from the definitions alone,
+or are sympy's, and share no code with those kernels; hypothesis draws
+the inputs.
 """
 
 import itertools
@@ -15,7 +18,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semnorms import (
@@ -29,6 +32,8 @@ from semnorms import (
     check_submultiplicative,
     compound,
     det,
+    generalized_inverse,
+    mat_mul,
     minor,
     natural_leq,
     natural_order,
@@ -36,6 +41,7 @@ from semnorms import (
     parse_matrix_text,
     parse_norm_text,
     random_submultiplicative_norms,
+    rank,
     run_suite,
     submultiplicative_envelope,
     validate,
@@ -398,6 +404,100 @@ def test_compound_rejects_orders_outside_the_shape():
     for k in (0, -1, 3, 4):
         with pytest.raises(ValueError, match="0 < k <= min"):
             compound(a, k)
+
+
+# ---------------------------------------------------------------------------
+# Integer products, the Bareiss kernel and the pseudoinverse against a
+# Fraction triple loop and sympy.
+
+
+def fraction_product(a, b):
+    """a @ b as rows of Fractions, by the triple loop of the definition."""
+    return [
+        [sum((a.entry(i, t) * b.entry(t, j) for t in range(a.cols)), Fraction(0))
+         for j in range(b.cols)]
+        for i in range(a.rows)
+    ]
+
+
+@st.composite
+def with_zero_lines(draw, matrices):
+    """A drawn matrix with some of its rows and columns set to zero."""
+    a = draw(matrices)
+    rows = draw(st.sets(st.integers(0, a.rows - 1), max_size=2))
+    cols = draw(st.sets(st.integers(0, a.cols - 1), max_size=2))
+    return RatMatrix(a.rows, a.cols, tuple(
+        Fraction(0) if i in rows or j in cols else a.entry(i, j)
+        for i in range(a.rows) for j in range(a.cols)
+    ))
+
+
+@st.composite
+def low_rank_products(draw, square=False, max_side=5):
+    """B C with B of shape rows x r and C of shape r x cols, r below
+    min(rows, cols) when that is above 1, so rank(B C) <= r."""
+    rows = draw(st.integers(1, max_side))
+    cols = rows if square else draw(st.integers(1, max_side))
+    inner = draw(st.integers(1, max(1, min(rows, cols) - 1)))
+    b, c = draw(rat_matrices(rows, inner)), draw(rat_matrices(inner, cols))
+    return RatMatrix.from_rows(fraction_product(b, c))
+
+
+def square_matrices():
+    full = st.integers(1, 5).flatmap(lambda n: rat_matrices(n, n))
+    return st.one_of(full, with_zero_lines(full), low_rank_products(square=True))
+
+
+@settings(max_examples=100, deadline=None)
+@given(chained_matrices(max_side=5).flatmap(
+    lambda pair: st.tuples(*(with_zero_lines(st.just(m)) for m in pair))
+))
+def test_mat_mul_matches_a_fraction_triple_loop(pair):
+    a, b = pair
+    assert mat_mul(a, b).to_rows() == fraction_product(a, b)
+
+
+# Pivots that need a row exchange, in every drawing.
+SWAPPING = (
+    RatMatrix.from_rows([[0, 1], [1, 0]]),
+    RatMatrix.from_rows([[0, 0, 2], [0, 3, 1], [Fraction(1, 2), 1, 1]]),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(rat_matrices(), with_zero_lines(rat_matrices()), low_rank_products()))
+@example(SWAPPING[0])
+@example(SWAPPING[1])
+def test_rank_matches_sympy(a):
+    sympy = pytest.importorskip("sympy")
+    assert rank(a) == sympy.Matrix(a.to_rows()).rank()
+
+
+@settings(max_examples=100, deadline=None)
+@given(square_matrices())
+@example(SWAPPING[0])
+@example(SWAPPING[1])
+def test_det_matches_sympy(a):
+    sympy = pytest.importorskip("sympy")
+    assert det(a) == Fraction(str(sympy.Matrix(a.to_rows()).det()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(square_matrices())
+@example(SWAPPING[0])
+@example(SWAPPING[1])
+def test_generalized_inverse_matches_sympy_pinv(a):
+    sympy = pytest.importorskip("sympy")
+    g = generalized_inverse(a)
+    expected = sympy.Matrix(a.to_rows()).pinv()
+    assert g.to_rows() == [[Fraction(str(x)) for x in row] for row in expected.tolist()]
+    # The four Penrose identities, on the triple loop.
+    ag = RatMatrix.from_rows(fraction_product(a, g))
+    ga = RatMatrix.from_rows(fraction_product(g, a))
+    assert fraction_product(ag, a) == a.to_rows()
+    assert fraction_product(ga, g) == g.to_rows()
+    assert ag.transpose() == ag
+    assert ga.transpose() == ga
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,20 @@
-"""The package namespace: every public name, loaded on first use.
+"""The package namespace: every public name, loaded on first use, and
+the README's examples, each read by its parser.
 
 Import order matters only in a fresh interpreter, so those checks run in
 one; the rest run here.
 """
 
+import re
 import subprocess
 import sys
 import types
+from pathlib import Path
 
 import pytest
 
 import semnorms
+from semnorms import parse_cayley_text, parse_matrix_text, parse_norm_text, validate
 
 
 def fresh(code):
@@ -89,3 +93,35 @@ def test_unknown_names_raise():
         semnorms.no_such_name
     with pytest.raises(ImportError):
         exec("from semnorms import no_such_name", {})
+
+
+# ---------------------------------------------------------------------------
+# README
+
+
+def readme_format_examples():
+    """(format, text) for each fenced block of README's File formats
+    section; the format is the label, such as ``Matrix``, that opens the
+    nearest paragraph before the block."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### File formats", 1)[1].split("\n## ", 1)[0]
+    examples, label = [], None
+    for i, part in enumerate(section.split("```")):
+        if i % 2:
+            examples.append((label, part.strip("\n")))
+        else:
+            labels = re.findall(r"^(\w[\w ]*):", part, re.MULTILINE)
+            label = labels[-1] if labels else label
+    return examples
+
+
+def test_readme_format_examples_parse():
+    parsers = {
+        "Cayley table": lambda text: validate(parse_cayley_text(text)[0]).ok,
+        "Norm table": lambda text: bool(parse_norm_text(text).values),
+        "Matrix": lambda text: bool(parse_matrix_text(text).entries),
+    }
+    examples = readme_format_examples()
+    assert sorted({label for label, _ in examples}) == sorted(parsers)
+    for label, text in examples:
+        assert parsers[label](text), (label, text)
