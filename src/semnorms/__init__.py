@@ -34,7 +34,6 @@ _EXPORTS = {
             "errors",
             (
                 "DEFAULT_VALUE_POOL",
-                "GeneratorExhaustedError",
                 "InvalidSemigroupError",
                 "NormConstructionError",
                 "NormDomainError",
@@ -42,7 +41,7 @@ _EXPORTS = {
                 "SemnormsError",
             ),
         ),
-        ("green", ("GreenStructure", "d_class_of", "green_structure")),
+        ("green", ("GreenStructure", "green_structure")),
         (
             "matrices",
             (
@@ -109,7 +108,6 @@ _EXPORTS = {
                 "FiniteSemigroup",
                 "ValidationReport",
                 "ZeroElements",
-                "adjoin_identity",
                 "idempotents",
                 "inverse_set",
                 "is_regular",

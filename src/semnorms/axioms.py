@@ -22,8 +22,8 @@ zero-normalization axiom: the two-sided zero element under
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import NOTATIONS, exact_text
 from .norms import NormTable, _coerce, _numerators_denominators
@@ -36,8 +36,7 @@ INAPPLICABLE = "inapplicable"
 AMBIGUOUS = "ambiguous"
 
 
-@dataclass(frozen=True)
-class AxiomVerdict:
+class AxiomVerdict(NamedTuple):
     definition: str
     axiom: str
     status: str
@@ -56,8 +55,7 @@ class AxiomVerdict:
         return out
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(NamedTuple):
     notation: str
     entries: tuple[AxiomVerdict, ...]
 

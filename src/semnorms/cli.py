@@ -21,11 +21,8 @@ from fractions import Fraction
 from .errors import (
     DEFAULT_VALUE_POOL,
     NOTATIONS,
-    GeneratorExhaustedError,
     InvalidSemigroupError,
-    NormConstructionError,
-    NormDomainError,
-    ParseError,
+    SemnormsError,
     exact_text,
     rational,
 )
@@ -402,21 +399,12 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except InvalidSemigroupError as exc:
         report = {"command": args.command, "error": "invalid semigroup"}
         report.update(exc.report.to_jsonable())
         print(json.dumps(report, indent=2, sort_keys=True))
         return 1
-    except GeneratorExhaustedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (NormConstructionError, NormDomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as exc:
+    except (SemnormsError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

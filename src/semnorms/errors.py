@@ -52,10 +52,6 @@ class NormConstructionError(SemnormsError):
     """A built-in norm family produced a table that failed its own guard."""
 
 
-class GeneratorExhaustedError(SemnormsError):
-    """Rejection sampling yielded no valid norm table within the budget."""
-
-
 def printable_count(n: int) -> str:
     """A count of entries for a message: ``n`` in digits, or a bound when
     ``str`` refuses it (an order of thousands of digits asks for a table

@@ -7,16 +7,15 @@ and L (and equals L;R).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
+from typing import NamedTuple
 
-from .semigroups import FiniteSemigroup, _check_element
+from .semigroups import FiniteSemigroup
 
 Partition = tuple[frozenset[int], ...]
 
 
-@dataclass(frozen=True)
-class GreenStructure:
+class GreenStructure(NamedTuple):
     r_classes: Partition
     l_classes: Partition
     d_classes: Partition
@@ -64,10 +63,3 @@ def green_structure(s: FiniteSemigroup) -> GreenStructure:
     d_classes = tuple(sorted(d_parts, key=min))
     return GreenStructure(r_classes, l_classes, d_classes, h_classes)
 
-
-def d_class_of(s: FiniteSemigroup, structure: GreenStructure, a: int) -> frozenset[int]:
-    _check_element(s, a)
-    for part in structure.d_classes:
-        if a in part:
-            return part
-    raise ValueError(f"element {a} missing from the D partition")  # pragma: no cover

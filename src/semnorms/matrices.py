@@ -21,34 +21,46 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ParseError, Tokens, printable_count, rational
 
 
-@dataclass(frozen=True)
 class RatMatrix:
-    """Immutable row-major matrix of exact rationals."""
+    """Immutable row-major matrix of exact rationals, equal and hashed by
+    its shape and entries."""
 
-    rows: int
-    cols: int
-    entries: tuple[Fraction, ...]
+    __slots__ = ("rows", "cols", "entries")
 
-    def __post_init__(self):
-        if not (isinstance(self.rows, int) and isinstance(self.cols, int)):
+    def __init__(self, rows: int, cols: int, entries: Iterable):
+        if not (isinstance(rows, int) and isinstance(cols, int)):
             raise ValueError("matrix dimensions must be integers")
-        if self.rows < 1 or self.cols < 1:
+        if rows < 1 or cols < 1:
             raise ValueError("matrix dimensions must be positive")
-        entries = tuple(x if type(x) is Fraction else Fraction(x) for x in self.entries)
-        if len(entries) != self.rows * self.cols:
+        entries = tuple(x if type(x) is Fraction else Fraction(x) for x in entries)
+        if len(entries) != rows * cols:
             raise ValueError(
-                f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} "
-                f"entries, got {len(entries)}"
+                f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(entries)}"
             )
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "entries", entries)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("RatMatrix is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("RatMatrix is immutable")
+
+    def __eq__(self, other):
+        return isinstance(other, RatMatrix) and (
+            (self.rows, self.cols, self.entries) == (other.rows, other.cols, other.entries)
+        )
+
+    def __hash__(self):
+        return hash((self.rows, self.cols, self.entries))
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "RatMatrix":
@@ -358,20 +370,35 @@ def _laplace_level(level: dict, grid: list, cols: int, j: int, last: int) -> dic
     return grown
 
 
-@dataclass(frozen=True)
 class MinorNormParams:
     """Order of the ambient matrices and the minor size, 0 < k <= n."""
 
-    n: int
-    k: int
+    __slots__ = ("n", "k")
 
-    def __post_init__(self):
-        if not (isinstance(self.n, int) and isinstance(self.k, int)):
+    def __init__(self, n: int, k: int):
+        if not (isinstance(n, int) and isinstance(k, int)):
             raise ValueError("n and k must be integers")
-        if self.n < 1:
-            raise ValueError(f"matrix order must be positive, got n={self.n}")
-        if not 0 < self.k <= self.n:
-            raise ValueError(f"minor size must satisfy 0 < k <= n, got k={self.k}, n={self.n}")
+        if n < 1:
+            raise ValueError(f"matrix order must be positive, got n={n}")
+        if not 0 < k <= n:
+            raise ValueError(f"minor size must satisfy 0 < k <= n, got k={k}, n={n}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "k", k)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("MinorNormParams is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("MinorNormParams is immutable")
+
+    def __eq__(self, other):
+        return isinstance(other, MinorNormParams) and (self.n, self.k) == (other.n, other.k)
+
+    def __hash__(self):
+        return hash((self.n, self.k))
+
+    def __repr__(self) -> str:
+        return f"MinorNormParams(n={self.n!r}, k={self.k!r})"
 
     @property
     def coefficient(self) -> int:
@@ -519,8 +546,7 @@ def generalized_inverse(a: RatMatrix) -> RatMatrix:
     return g
 
 
-@dataclass(frozen=True)
-class MinorNormCheck:
+class MinorNormCheck(NamedTuple):
     """PASS over a batch of pairs, or the first violation with its values."""
 
     ok: bool
@@ -549,8 +575,7 @@ def check_minor_norm_submultiplicative(
 # norm, while the entrywise limit (the zero matrix) has rank 0.
 
 
-@dataclass(frozen=True)
-class WitnessPoint:
+class WitnessPoint(NamedTuple):
     m: int
     norm_value: Fraction
     matrix_rank: int
@@ -571,8 +596,7 @@ class WitnessPoint:
         }
 
 
-@dataclass(frozen=True)
-class WitnessReport:
+class WitnessReport(NamedTuple):
     n: int
     k: int
     coefficient: int

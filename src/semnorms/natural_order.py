@@ -7,14 +7,13 @@ on a group it collapses to equality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
+from typing import NamedTuple
 
 from .semigroups import FiniteSemigroup, _check_element
 
 
-@dataclass(frozen=True)
-class OrderRelation:
+class OrderRelation(NamedTuple):
     order: int
     pairs: frozenset[tuple[int, int]]
 

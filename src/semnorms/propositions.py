@@ -18,8 +18,8 @@ P8  below b in the natural order, value(b) = 0 forces value(a) = 0
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .green import green_structure
 from .natural_order import natural_order
@@ -39,8 +39,7 @@ INAPPLICABLE = "INAPPLICABLE"
 _NOT_SUBMULTIPLICATIVE = "norm table is not submultiplicative"
 
 
-@dataclass(frozen=True)
-class PropositionVerdict:
+class PropositionVerdict(NamedTuple):
     proposition: str
     status: str
     witness: tuple | None = None

@@ -8,15 +8,13 @@ consulted by the algebra itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .errors import InvalidSemigroupError, ParseError, Tokens, printable_count, rational
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     """Everything wrong with a candidate Cayley table; empty means valid.
 
     Structural problems (non-square rows, non-integer entries) are kept
@@ -164,26 +162,24 @@ def _good_middle(rows: list[list[int]], g: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
 class FiniteSemigroup:
-    """An immutable finite semigroup.
+    """An immutable finite semigroup, equal and hashed by its table and
+    labels.
 
     Construction validates the table and raises InvalidSemigroupError when
     it is not square, not in range, or not associative.  ``labels`` is an
     optional per-element tuple of exact rationals.
     """
 
-    table: tuple[tuple[int, ...], ...]
-    labels: tuple[Fraction, ...] | None = None
+    __slots__ = ("table", "labels")
 
-    def __post_init__(self):
-        table = tuple(tuple(row) for row in self.table)
-        object.__setattr__(self, "table", table)
+    def __init__(self, table: Sequence[Sequence[int]], labels: Sequence | None = None):
+        table = tuple(tuple(row) for row in table)
         report = validate(table)
         if not report.ok:
             raise InvalidSemigroupError(report)
-        if self.labels is not None:
-            labels = tuple(Fraction(x) for x in self.labels)
+        if labels is not None:
+            labels = tuple(Fraction(x) for x in labels)
             if len(labels) != len(table):
                 raise InvalidSemigroupError(
                     ValidationReport(
@@ -192,7 +188,24 @@ class FiniteSemigroup:
                         )
                     )
                 )
-            object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "labels", labels)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("FiniteSemigroup is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("FiniteSemigroup is immutable")
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, FiniteSemigroup)
+            and self.table == other.table
+            and self.labels == other.labels
+        )
+
+    def __hash__(self):
+        return hash((self.table, self.labels))
 
     @property
     def order(self) -> int:
@@ -213,21 +226,6 @@ class FiniteSemigroup:
 
     def __repr__(self) -> str:
         return f"FiniteSemigroup(order={self.order})"
-
-
-def adjoin_identity(s: FiniteSemigroup) -> FiniteSemigroup:
-    """Return s itself if it has an identity, else s with one new element
-    acting as a two-sided identity (index ``s.order``).
-
-    Labels are dropped when a new element is adjoined: there is no
-    canonical label for it.
-    """
-    if s.identity() is not None:
-        return s
-    n = s.order
-    rows = [row + (i,) for i, row in enumerate(s.table)]
-    rows.append(tuple(range(n + 1)))
-    return FiniteSemigroup(tuple(rows))
 
 
 def idempotents(s: FiniteSemigroup) -> frozenset[int]:

@@ -6,15 +6,21 @@ the point (a hang, or the modules a command imports); byte-level
 determinism across separate processes is covered by the acceptance suite.
 """
 
+import contextlib
+import io
 import json
 import math
+import os
 import random
 import re
 import subprocess
 import sys
+import tempfile
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semnorms.cli import main
 
@@ -469,6 +475,10 @@ def test_command_imports_only_what_it_runs(command, tmp_path):
     assert loaded == {"cli", "errors"} | COMMAND_MODULES[command]
     # The runtime is the standard library; these serve the tests only.
     assert not re.findall(r"^import '(sympy|hypothesis|numpy)\b", result.stderr, re.MULTILINE)
+    # Records are named tuples and plain classes, so no command pays for
+    # ``dataclasses`` and the ``inspect`` it imports.  ``python -c pass``
+    # loads neither, so only the package could load them.
+    assert not re.findall(r"^import '(dataclasses|inspect)'", result.stderr, re.MULTILINE)
 
 
 # ---------------------------------------------------------------------------
@@ -488,3 +498,93 @@ def test_repeated_invocations_print_identical_reports(capsys):
     _, first, _ = run_cli(capsys, "analyze", "s3")
     _, second, _ = run_cli(capsys, "analyze", "s3")
     assert first == second
+
+
+# ---------------------------------------------------------------------------
+# any command line over any files: an exit code of the contract, never an
+# exception
+
+FORMATS = ("json", "text", "xml")
+# Counts and sizes stay small so that an example runs in milliseconds:
+# the work of ``fuzz`` grows with ``--count`` unbounded, while ``witness``
+# refuses large orders up front, which the larger values check.
+SMALL = ("-1", "0", "1", "2", "3", "", "x", "1.5")
+OPTIONS = {
+    "validate": {"--format": FORMATS},
+    "analyze": {"--format": FORMATS},
+    "norm-check": {"--notation": ("multiplicative", "additive", "x"), "--format": FORMATS},
+    "fuzz": {
+        "--count": SMALL,
+        "--seed": SMALL + ("9" * 40,),
+        "--pool": ("0,1/2,1,2", "1/2", "", "x", "-1", "1,,2", "1e5000", "1/0"),
+        "--format": FORMATS,
+    },
+    "minor-norm": {"--k": SMALL, "--mode": ("exact", "float", "x"), "--format": FORMATS},
+    "witness": {
+        "--n": SMALL + ("40", "9" * 40),
+        "--k": SMALL + ("20",),
+        "--m-max": SMALL,
+        "--format": FORMATS,
+    },
+}
+REQUIRED = ("--k", "--n")
+POSITIONALS = {
+    "validate": 1, "analyze": 1, "norm-check": 2, "fuzz": 1, "minor-norm": 1, "witness": 0,
+}
+# Placeholders for the files each example writes, a directory and a
+# missing file, next to builtin names.
+INPUTS = ("TABLE", "NORM", "MATRIX", "DIR", "MISSING", "z2", "t3", "null4", "s9", "")
+JUNK_ARGS = ("--junk", "-x", "--", "-", "--help", "extra", "--k=1", "--format")
+VALUES = ("0", "1", "2", "3", "-1", "1/2", "0.25")
+TOKENS = VALUES + ("1e3", "1e5000", "1/0", "x", "labels:", "٣")
+
+
+@st.composite
+def command_lines(draw):
+    command = draw(st.sampled_from(sorted(OPTIONS) + ["junk"]))
+    argv = [command] + [
+        draw(st.sampled_from(INPUTS)) for _ in range(POSITIONALS.get(command, 0))
+    ]
+    for flag, values in OPTIONS.get(command, {}).items():
+        if flag in REQUIRED or draw(st.booleans()):
+            argv += [flag, draw(st.sampled_from(values))]
+    if draw(st.integers(0, 3)) == 0:
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(JUNK_ARGS)))
+    return argv
+
+
+@st.composite
+def format_texts(draw):
+    """A table, a matrix or a norm file with up to two tokens replaced."""
+    kind = draw(st.sampled_from(("table", "matrix", "norm")))
+    n = draw(st.integers(1, 3))
+    if kind == "table":
+        words = [str(n)] + [str(draw(st.integers(0, n - 1))) for _ in range(n * n)]
+    elif kind == "matrix":
+        words = [str(n), str(n)] + [draw(st.sampled_from(VALUES)) for _ in range(n * n)]
+    else:
+        words = [draw(st.sampled_from(VALUES)) for _ in range(n)]
+    for _ in range(draw(st.integers(0, 2))):
+        words[draw(st.integers(0, len(words) - 1))] = draw(st.sampled_from(TOKENS))
+    return "\n".join(words).encode()
+
+
+def file_contents():
+    return st.one_of(format_texts(), st.text(max_size=20).map(str.encode), st.binary(max_size=8))
+
+
+@settings(max_examples=200, deadline=None)
+@given(command_lines(), st.tuples(file_contents(), file_contents(), file_contents()))
+def test_any_command_line_exits_0_1_or_2(argv, contents):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {"DIR": tmp, "MISSING": os.path.join(tmp, "missing.txt")}
+        for name, content in zip(("TABLE", "NORM", "MATRIX"), contents):
+            paths[name] = os.path.join(tmp, f"{name.lower()}.txt")
+            with open(paths[name], "wb") as fh:
+                fh.write(content)
+        argv = [paths.get(arg, arg) for arg in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2), (code, out.getvalue(), err.getvalue())
+    assert "Traceback" not in err.getvalue()

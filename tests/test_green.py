@@ -9,13 +9,7 @@ full transformation monoid are exactly the image-size classes.
 
 import itertools
 
-import pytest
-
-from semnorms import (
-    builtin_semigroup,
-    d_class_of,
-    green_structure,
-)
+from semnorms import builtin_semigroup, green_structure
 
 T2_R = ({0, 3}, {1, 2})
 T2_L = ({0}, {1, 2}, {3})
@@ -119,12 +113,3 @@ def test_structure_is_cached_per_semigroup():
     a = green_structure(builtin_semigroup("t2"))
     b = green_structure(builtin_semigroup("t2"))
     assert a is b
-
-
-def test_d_class_of():
-    s = builtin_semigroup("t2")
-    g = green_structure(s)
-    assert d_class_of(s, g, 0) == {0, 3}
-    assert d_class_of(s, g, 2) == {1, 2}
-    with pytest.raises(ValueError, match="out of range"):
-        d_class_of(s, g, 9)

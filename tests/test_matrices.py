@@ -74,6 +74,21 @@ def test_entries_become_fractions():
     assert a.entries == (Fraction(1, 2), Fraction(3))
 
 
+def test_matrix_is_an_immutable_value():
+    a = RatMatrix(rows=1, cols=2, entries=(1, "1/2"))
+    same = RatMatrix.from_rows([[1, Fraction(1, 2)]])
+    assert a == same and hash(a) == hash(same)
+    assert a != RatMatrix(2, 1, a.entries) and a != a.entries
+    assert {same: "found"}[a] == "found"
+    assert repr(a) == "RatMatrix(1x2)"
+    for name in ("rows", "cols", "entries", "is_square", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    assert (a.rows, a.cols, a.entries) == (1, 2, (1, Fraction(1, 2)))
+
+
 def test_dimension_validation():
     with pytest.raises(ValueError, match="positive"):
         RatMatrix(0, 1, ())
@@ -176,6 +191,19 @@ def test_params_validation_and_coefficient():
         MinorNormParams(3, 4)
     with pytest.raises(ValueError, match="order must be positive"):
         MinorNormParams(0, 0)
+
+
+def test_params_are_an_immutable_value():
+    p = MinorNormParams(n=5, k=2)
+    assert p == MinorNormParams(5, 2) and hash(p) == hash(MinorNormParams(5, 2))
+    assert p != MinorNormParams(5, 3) and p != (5, 2)
+    assert repr(p) == "MinorNormParams(n=5, k=2)"
+    for name in ("n", "k", "coefficient", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(p, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(p, name)
+    assert (p.n, p.k) == (5, 2)
 
 
 def test_minor_norm_frozen_values():

@@ -18,7 +18,6 @@ from fractions import Fraction
 import pytest
 
 from semnorms import (
-    GeneratorExhaustedError,
     NormConstructionError,
     NormDomainError,
     NormTable,
@@ -282,29 +281,6 @@ def test_repair_mode_counts_repairs():
     batch = random_submultiplicative_norms(s, 50, seed=7)
     assert batch.attempts == 50
     assert 0 < batch.repaired < 50
-
-
-def test_rejection_mode_yields_raw_draws():
-    s = builtin_semigroup("z2")
-    batch = random_submultiplicative_norms(s, 5, seed=3, repair=False)
-    assert len(batch.norms) == 5
-    assert batch.repaired == 0
-    assert batch.attempts >= 5
-    for norm in batch.norms:
-        assert all(v in (0, HALF, 1, 2) for v in norm)
-
-
-def test_rejection_mode_exhaustion():
-    # With every value pinned to 1/2 no z2 table can pass: 1/2 > 1/4.
-    with pytest.raises(GeneratorExhaustedError, match="widen the pool"):
-        random_submultiplicative_norms(
-            builtin_semigroup("z2"),
-            2,
-            seed=1,
-            value_pool=(HALF,),
-            max_attempts_per_norm=5,
-            repair=False,
-        )
 
 
 def test_pool_validation():

@@ -194,6 +194,27 @@ def chained_matrices(draw, max_side=4):
     return draw(rat_matrices(rows, inner)), draw(rat_matrices(inner, cols))
 
 
+@st.composite
+def nonsingular_squares(draw, max_side=4):
+    """P L U, with L lower and U upper triangular with nonzero diagonals
+    and P a row permutation: a full-rank square of order 2 or more, whose
+    rows come in a drawn order, so elimination often exchanges rows."""
+    n = draw(st.integers(2, max_side))
+    nonzero = matrix_entries().filter(bool)
+
+    def triangle(below):
+        return [
+            [draw(nonzero) if i == j else draw(matrix_entries()) if (j < i) == below else 0
+             for j in range(n)]
+            for i in range(n)
+        ]
+
+    lower, upper = triangle(True), triangle(False)
+    product = [[sum(lower[i][t] * upper[t][j] for t in range(n)) for j in range(n)]
+               for i in range(n)]
+    return RatMatrix.from_rows([product[i] for i in draw(st.permutations(range(n)))])
+
+
 def subsets(size, k):
     return list(itertools.combinations(range(size), k))
 
@@ -359,7 +380,7 @@ def test_run_suite_equals_separate_checkers_on_raw_values(case):
 
 
 @settings(max_examples=100, deadline=None)
-@given(rat_matrices())
+@given(st.one_of(rat_matrices(), nonsingular_squares()))
 def test_compound_entries_are_the_minors(a):
     for k in range(1, min(a.rows, a.cols) + 1):
         c = compound(a, k)
@@ -369,7 +390,7 @@ def test_compound_entries_are_the_minors(a):
 
 
 @settings(max_examples=100, deadline=None)
-@given(rat_matrices())
+@given(st.one_of(rat_matrices(), nonsingular_squares()))
 def test_compound_of_order_one_and_of_full_order(a):
     assert compound(a, 1) == a
     if a.is_square:
@@ -387,7 +408,7 @@ def test_compound_is_multiplicative(pair):
 
 
 @settings(max_examples=15, deadline=None)
-@given(st.integers(1, 4).flatmap(lambda n: rat_matrices(n, n)))
+@given(st.one_of(st.integers(1, 4).flatmap(lambda n: rat_matrices(n, n)), nonsingular_squares()))
 def test_compound_matches_sympy_determinants(a):
     sympy = pytest.importorskip("sympy")
     grid = sympy.Matrix(a.to_rows())
@@ -445,7 +466,9 @@ def low_rank_products(draw, square=False, max_side=5):
 
 def square_matrices():
     full = st.integers(1, 5).flatmap(lambda n: rat_matrices(n, n))
-    return st.one_of(full, with_zero_lines(full), low_rank_products(square=True))
+    return st.one_of(
+        full, with_zero_lines(full), low_rank_products(square=True), nonsingular_squares()
+    )
 
 
 @settings(max_examples=100, deadline=None)
@@ -465,7 +488,9 @@ SWAPPING = (
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.one_of(rat_matrices(), with_zero_lines(rat_matrices()), low_rank_products()))
+@given(st.one_of(
+    rat_matrices(), with_zero_lines(rat_matrices()), low_rank_products(), nonsingular_squares()
+))
 @example(SWAPPING[0])
 @example(SWAPPING[1])
 def test_rank_matches_sympy(a):

@@ -15,7 +15,6 @@ from semnorms import (
     FiniteSemigroup,
     InvalidSemigroupError,
     ParseError,
-    adjoin_identity,
     builtin_semigroup,
     cyclic_group,
     full_transformation_monoid,
@@ -152,25 +151,19 @@ def test_semigroups_are_hashable_and_equal_by_value():
     assert hash(builtin_semigroup("z2")) == hash(builtin_semigroup("z2"))
 
 
-# ---------------------------------------------------------------------------
-# adjoin_identity
-
-
-def test_adjoin_identity_returns_monoid_unchanged():
-    s = builtin_semigroup("z2")
-    assert adjoin_identity(s) is s
-
-
-def test_adjoin_identity_adds_one_element():
-    s = left_zero_semigroup(3)
-    s1 = adjoin_identity(s)
-    assert s1.order == 4
-    assert s1.identity() == 3
-    # The original multiplication is untouched.
-    for a in range(3):
-        for b in range(3):
-            assert s1.table[a][b] == s.table[a][b]
-    assert s1.labels is None
+def test_semigroup_is_an_immutable_value():
+    s = FiniteSemigroup(table=Z2_TABLE, labels=(1, "1/2"))
+    same = FiniteSemigroup([[0, 1], [1, 0]], (1, Fraction(1, 2)))
+    assert s == same and hash(s) == hash(same)
+    assert s != FiniteSemigroup(Z2_TABLE) and s != Z2_TABLE
+    assert {same: "found"}[s] == "found"
+    assert repr(s) == "FiniteSemigroup(order=2)"
+    for name in ("table", "labels", "order", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(s, name, None)
+        with pytest.raises(AttributeError):
+            delattr(s, name)
+    assert (s.table, s.labels) == (Z2_TABLE, (1, Fraction(1, 2)))
 
 
 # ---------------------------------------------------------------------------
