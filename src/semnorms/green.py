@@ -30,36 +30,85 @@ def _group_by(keys: list) -> Partition:
     return tuple(frozenset(part) for part in parts)
 
 
-def _right_ideal(s: FiniteSemigroup, a: int) -> frozenset[int]:
-    return frozenset(s.table[a]) | {a}
-
-
-def _left_ideal(s: FiniteSemigroup, a: int) -> frozenset[int]:
-    return frozenset(s.table[x][a] for x in s.elements()) | {a}
+def _strong_components(successors: list) -> list[int]:
+    """The strongly connected component of every vertex of the graph
+    a -> successors[a], as an index, by Tarjan's algorithm.  It keeps its
+    own stack of half-scanned vertices: on the 256-element monoid t4 a
+    recursive search would pass the interpreter's recursion limit."""
+    n = len(successors)
+    index = [-1] * n
+    low = [0] * n
+    component = [-1] * n
+    stack: list[int] = []
+    visited = components = 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = visited
+        visited += 1
+        stack.append(root)
+        path = [(root, iter(successors[root]))]
+        while path:
+            v, pending = path[-1]
+            for w in pending:
+                if index[w] < 0:
+                    index[w] = low[w] = visited
+                    visited += 1
+                    stack.append(w)
+                    path.append((w, iter(successors[w])))
+                    break
+                if component[w] < 0:  # w is on the stack
+                    low[v] = min(low[v], index[w])
+            else:
+                path.pop()
+                if path:
+                    u = path[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:
+                    while True:
+                        w = stack.pop()
+                        component[w] = components
+                        if w == v:
+                            break
+                    components += 1
+    return component
 
 
 @cache
 def green_structure(s: FiniteSemigroup) -> GreenStructure:
     """Compute all four partitions.  Cached per semigroup: the structure
-    is reused heavily when many norms are checked against one table."""
-    right = [_right_ideal(s, a) for a in s.elements()]
-    left = [_left_ideal(s, a) for a in s.elements()]
-    r_classes = _group_by(right)
-    l_classes = _group_by(left)
-    h_classes = _group_by(list(zip(right, left)))
+    is reused heavily when many norms are checked against one table.
 
-    # D as the composition: a D b iff some c has a R c and c L b.
-    r_index = {a: i for i, part in enumerate(r_classes) for a in part}
-    assigned = [False] * s.order
-    d_parts = []
-    for a in s.elements():
-        if assigned[a]:
-            continue
-        reachable_left = {left[c] for c in r_classes[r_index[a]]}
-        block = sorted(b for b in s.elements() if left[b] in reachable_left)
-        for b in block:
-            assigned[b] = True
-        d_parts.append(frozenset(block))
-    d_classes = tuple(sorted(d_parts, key=min))
-    return GreenStructure(r_classes, l_classes, d_classes, h_classes)
+    Over a generating set G (``s.generators``), b lies in aS^1 iff b is
+    reached from a along the right Cayley graph a -> a*g, g in G, since
+    every element of S is a product of elements of G.  So the R-classes
+    are the strongly connected components of that graph, and the
+    L-classes those of the left graph a -> g*a (Froidure & Pin 1997,
+    "Algorithms for computing finite semigroups").  H is the pair of an
+    element's R- and L-class.  D is the join of R and L: a union-find
+    over R-classes merges the R-classes of each L-class.  The cost is
+    |G| * n edges for each graph, against n^2 for the principal ideals.
+    """
+    t = s.table
+    gens = s.generators
+    left_rows = [t[g] for g in gens]
+    r_class = _strong_components([[row[g] for g in gens] for row in t])
+    l_class = _strong_components([[row[a] for row in left_rows] for a in s.elements()])
 
+    parent = list(range(s.order))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    first_r_class: dict[int, int] = {}
+    for rc, lc in zip(r_class, l_class):
+        parent[find(rc)] = find(first_r_class.setdefault(lc, rc))
+    d_class = [find(rc) for rc in r_class]
+    return GreenStructure(
+        _group_by(r_class),
+        _group_by(l_class),
+        _group_by(d_class),
+        _group_by(list(zip(r_class, l_class))),
+    )

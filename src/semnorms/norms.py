@@ -235,6 +235,13 @@ def submultiplicative_envelope(s: FiniteSemigroup, values) -> NormTable:
       and writing 0 is exact.  A round with no change leaves
       value(a*b) <= value(a)*value(b) for every pair: a submultiplicative
       table below the input, hence at most I, and not below I, hence I.
+    - Pumped idempotents.  After each round, every idempotent e whose
+      value lies strictly between 0 and 1 is written as 0.  Values never
+      go below I, so I(e) < 1, and e = e**k for every k gives
+      I(e) <= I(e)**k -> 0, so I(e) = 0 and the write is exact.  The rule
+      writes 0 only where I = 0, so the round rule above still holds.
+      Without it such a value keeps squaring through all R exact rounds,
+      its integers doubling in length each round.
     - Bounded work.  After round R only zeros are written, and each
       round that changes anything writes at least one new zero, so at
       most n more rounds change anything and the loop runs at most
@@ -243,11 +250,17 @@ def submultiplicative_envelope(s: FiniteSemigroup, values) -> NormTable:
       size of every integer.
 
     On the 256-element full transformation monoid a draw from the pool
-    1/2, 1, 2 takes about 0.14 s (Python 3.11, one core of a 2-core
-    Xeon).
+    1/2, 1, 2 takes about 0.03 s, and 0.16 s without the idempotent rule
+    (medians of 9 draws, Python 3.11, one core of a 2-core Xeon).
     """
+    return _envelope_rounds(s, values)[0]
+
+
+def _envelope_rounds(s: FiniteSemigroup, values) -> tuple[NormTable, int]:
+    """``submultiplicative_envelope`` and the number of rounds it ran."""
     norm = _coerce(s, values)
     num, den = _numerators_denominators(norm.values)
+    idempotents = [e for e, row in enumerate(s.table) if row[e] == e]
     exact_rounds = (s.order - 1).bit_length()
     rounds = 0
     while True:
@@ -265,9 +278,26 @@ def submultiplicative_envelope(s: FiniteSemigroup, values) -> NormTable:
                         new_num[c], new_den[c] = p // g, q // g
                     else:
                         new_num[c], new_den[c] = 0, 1
+        for e in idempotents:
+            if 0 < new_num[e] < new_den[e]:
+                changed = True
+                new_num[e], new_den[e] = 0, 1
         if not changed:
-            return NormTable(Fraction(p, q) for p, q in zip(num, den))
+            return NormTable(Fraction(p, q) for p, q in zip(num, den)), rounds
         num, den = new_num, new_den
+
+
+# Most pair steps one call of ``random_submultiplicative_norms`` may take,
+# estimated up front as count * n**2 * DRAW_PAIR_WEIGHT on a table of
+# order n.  A draw visits every pair of its table in the check of the raw
+# draw, in each round of its envelope (two to four rounds on the builtins
+# and t4 over the pools 0,1/2,1,2 and 1/2,1,2 and 1,2,3; R + n + 1 at
+# most), in the re-verification and in the suite's gate; the weight counts
+# eight visits.  Measured through ``fuzz`` on a 2-core Xeon, a draw costs
+# 0.6 to 0.7 microseconds per pair on t4 and 0.8 to 1.4 on t3, so the
+# budget admits 95 draws on t4 (3.9 s) and 8573 on t3 (6.8 s).
+FUZZ_WORK_BUDGET = 50_000_000
+DRAW_PAIR_WEIGHT = 8
 
 
 class NormBatch(NamedTuple):
@@ -299,7 +329,9 @@ def random_submultiplicative_norms(
     tables of order n a draw passes with a probability that decays
     exponentially in n^2, and already around order 6 hardly any does.
 
-    Every returned table is re-verified, not trusted.
+    Every returned table is re-verified, not trusted.  A call estimated
+    at more than FUZZ_WORK_BUDGET pair steps raises ValueError before any
+    draw.
     """
     pool = tuple(Fraction(v) for v in value_pool)
     if not pool:
@@ -309,6 +341,12 @@ def random_submultiplicative_norms(
             raise NormDomainError(f"value pool contains a negative entry: {v}")
     if count < 0:
         raise ValueError("count must be nonnegative")
+    steps = count * s.order**2 * DRAW_PAIR_WEIGHT
+    if steps > FUZZ_WORK_BUDGET:
+        raise ValueError(
+            f"{count} random norms on {s.order} elements need about {steps} pair steps, "
+            f"over the budget of {FUZZ_WORK_BUDGET}"
+        )
     rng = random.Random(seed)
     norms: list[NormTable] = []
     repaired = 0

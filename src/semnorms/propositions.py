@@ -67,8 +67,9 @@ def _scan_idempotent_dichotomy(s, norm):
 def _scan_zero_set_closed(s, norm):
     zeros = zero_set(s, norm)
     v = norm.values
-    for a in sorted(zeros):
-        for b in sorted(zeros):
+    ordered = sorted(zeros)
+    for a in ordered:
+        for b in ordered:
             ab = s.table[a][b]
             if ab not in zeros:
                 return PropositionVerdict("P3", FAIL, witness=(a, b, ab, v[ab]))

@@ -9,6 +9,7 @@ consulted by the algebra itself.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import itemgetter
 from typing import NamedTuple, Sequence
 
 from .errors import InvalidSemigroupError, ParseError, Tokens, printable_count, rational
@@ -91,27 +92,46 @@ def validate(table: Sequence[Sequence[object]]) -> ValidationReport:
     The cost is |G| * n^2.  At worst, on left-zero or null tables, every
     element is a generator and the cost is the n^3 of the full scan.
     """
-    structural = []
+    return _validate(table)[0]
+
+
+def _validate(table: Sequence[Sequence[object]]) -> tuple[ValidationReport, tuple[int, ...]]:
+    """``validate``'s report, and the generators G that Light's test
+    picked when the table is associative (``()`` otherwise).
+
+    A table whose every row has n entries of type exactly ``int``, with
+    ``min >= 0`` and ``max < n``, has nothing to list: those four checks
+    run in C per row and skip the per-entry loop.  Any other table,
+    including one with ``bool`` or other ``int`` subclass entries, goes
+    through the loop, which decides the report as before.
+    """
     n = len(table)
     if n == 0:
-        return ValidationReport(structural=("empty table",))
-    for i, row in enumerate(table):
-        if len(row) != n:
-            structural.append(f"row {i} has {len(row)} entries, expected {n}")
-    out_of_range = []
-    for i, row in enumerate(table):
-        for j, value in enumerate(row):
-            if not isinstance(value, int) or isinstance(value, bool):
-                structural.append(f"entry ({i}, {j}) is not an integer: {value!r}")
-            elif not 0 <= value < n:
-                out_of_range.append((i, j, value))
-    if structural or out_of_range:
-        return ValidationReport(
-            structural=tuple(structural), out_of_range=tuple(out_of_range)
-        )
-    rows = [list(row) for row in table]
-    if all(_good_middle(rows, g) for g in _right_generators(rows)):
-        return ValidationReport()
+        return ValidationReport(structural=("empty table",)), ()
+    if not all(
+        len(row) == n and set(map(type, row)) == {int} and min(row) >= 0 and max(row) < n
+        for row in table
+    ):
+        structural = []
+        for i, row in enumerate(table):
+            if len(row) != n:
+                structural.append(f"row {i} has {len(row)} entries, expected {n}")
+        out_of_range = []
+        for i, row in enumerate(table):
+            for j, value in enumerate(row):
+                if not isinstance(value, int) or isinstance(value, bool):
+                    structural.append(f"entry ({i}, {j}) is not an integer: {value!r}")
+                elif not 0 <= value < n:
+                    out_of_range.append((i, j, value))
+        if structural or out_of_range:
+            report = ValidationReport(
+                structural=tuple(structural), out_of_range=tuple(out_of_range)
+            )
+            return report, ()
+    rows = [tuple(row) for row in table]
+    generators = _right_generators(rows)
+    if all(_good_middle(rows, g) for g in generators):
+        return ValidationReport(), tuple(generators)
     non_associative = []
     for i in range(n):
         row_i = rows[i]
@@ -121,10 +141,10 @@ def validate(table: Sequence[Sequence[object]]) -> ValidationReport:
             for k in range(n):
                 if rows[ij][k] != row_i[row_j[k]]:
                     non_associative.append((i, j, k))
-    return ValidationReport(non_associative=tuple(non_associative))
+    return ValidationReport(non_associative=tuple(non_associative)), ()
 
 
-def _right_generators(rows: list[list[int]]) -> list[int]:
+def _right_generators(rows: list[tuple[int, ...]]) -> list[int]:
     """Elements G whose closure under right multiplication by G is the
     whole table, picked greedily by decreasing row image size."""
     n = len(rows)
@@ -153,13 +173,17 @@ def _right_generators(rows: list[list[int]]) -> list[int]:
     return gens
 
 
-def _good_middle(rows: list[list[int]], g: int) -> bool:
-    """(x*g)*y == x*(g*y) for all x, y."""
-    row_g = rows[g]
-    for x, row_x in enumerate(rows):
-        if rows[row_x[g]] != [row_x[z] for z in row_g]:
-            return False
-    return True
+def _good_middle(rows: list[tuple[int, ...]], g: int) -> bool:
+    """(x*g)*y == x*(g*y) for all x, y.
+
+    ``itemgetter(*row_g)(row_x)`` is the tuple of x*(g*y) over all y, read
+    in C.  With one index it returns the item, not a 1-tuple, so order 1
+    is decided apart: its one table, [[0]], is associative.
+    """
+    if len(rows) == 1:
+        return True
+    x_g_y = itemgetter(*rows[g])
+    return all(rows[row_x[g]] == x_g_y(row_x) for row_x in rows)
 
 
 class FiniteSemigroup:
@@ -168,14 +192,17 @@ class FiniteSemigroup:
 
     Construction validates the table and raises InvalidSemigroupError when
     it is not square, not in range, or not associative.  ``labels`` is an
-    optional per-element tuple of exact rationals.
+    optional per-element tuple of exact rationals.  ``generators`` is the
+    generating set G that Light's test picked during validation: every
+    element is a product of elements of G.  It is derived from the table,
+    so it takes no part in equality.
     """
 
-    __slots__ = ("table", "labels")
+    __slots__ = ("table", "labels", "generators")
 
     def __init__(self, table: Sequence[Sequence[int]], labels: Sequence | None = None):
         table = tuple(tuple(row) for row in table)
-        report = validate(table)
+        report, generators = _validate(table)
         if not report.ok:
             raise InvalidSemigroupError(report)
         if labels is not None:
@@ -190,6 +217,7 @@ class FiniteSemigroup:
                 )
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "generators", generators)
 
     def __setattr__(self, name, value):
         raise AttributeError("FiniteSemigroup is immutable")
@@ -293,6 +321,12 @@ def parse_cayley_text(text: str) -> tuple[list[list[int]], list[Fraction] | None
 
     Purely syntactic: the result may still fail ``validate``.  Blank lines
     are ignored.  Raises ParseError with 1-based line and column.
+
+    Table entries are looked up among the spellings ``str(i)`` of 0 to
+    n - 1, on which ``int`` gives i.  If any token misses the lookup (a
+    leading zero or sign, another script's digits, an out-of-range value
+    or no integer at all), every entry goes through ``int`` instead, which
+    decides the values and the error as before.
     """
     lines = text.splitlines()
     last_line = max(len(lines), 1)
@@ -321,7 +355,11 @@ def parse_cayley_text(text: str) -> tuple[list[list[int]], list[Fraction] | None
         )
     if found > n * n:
         raise table.error(f"unexpected extra token {table.items[n * n + 1]!r}", n * n + 1)
-    entries = table.ints(1)
+    spellings = {str(i): i for i in range(n)}
+    try:
+        entries = list(map(spellings.__getitem__, table.items[1:]))
+    except KeyError:
+        entries = table.ints(1)
     rows = [entries[i : i + n] for i in range(0, n * n, n)]
 
     if labels is None:

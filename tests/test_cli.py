@@ -7,6 +7,7 @@ determinism across separate processes is covered by the acceptance suite.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -22,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from semnorms import full_transformation_monoid
 from semnorms.cli import main
 
 
@@ -290,6 +292,41 @@ def test_fuzz_with_near_one_cycles_finishes():
     assert json.loads(result.stdout)["generated"] == 30
 
 
+def test_fuzz_over_the_work_budget_exits_2_at_once(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "fuzz", "t3", "--count", "1000000000")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert "over the budget of 50000000" in err and "Traceback" not in err
+
+
+# The stdout sha256 of ``fuzz`` before the envelope zeroed pumped
+# idempotents and Green classes came from Cayley graphs.  The verdict
+# counts depend on both, so a change to either that moves any verdict
+# fails here.  t4 is read from a file, as a user would give it.
+FUZZ_DIGESTS = {
+    ("t3", "30", "0,1/2,1,2", "11"): "35f506c060599345d8faf9112202a2d0f0807e9de696c61d539148a342e61f75",
+    ("t3", "30", "1/2,1,2", "12"): "1262ee51bef1f53e52fc4099ea42ca1ae3dfbb5e76b0d2a970c88a7aa129f659",
+    ("t3", "30", "1,2,3", "13"): "ce347522f80b37c23d202efdf5e467e9bdf7a9083ef3350c9f218c13bbe0e460",
+    ("t4.txt", "1", "0,1/2,1,2", "21"): "228cf133d9719f9e14e6d502e24ea2d630a3bf18c348e68eb95d887ad49493af",
+    ("t4.txt", "1", "1/2,1,2", "22"): "3a08926f9d8f2a51e5786aa629ef178ed3c6694b3284e33a52fb445e0cd38df3",
+    ("t4.txt", "1", "1,2,3", "23"): "031c8a1dedd0919aff386f401fb870596d0b0684b8ee004b727ff4f4e8a45ed8",
+}
+
+
+def test_fuzz_output_bytes_are_pinned(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    t4 = full_transformation_monoid(4)
+    rows = "".join(" ".join(map(str, row)) + "\n" for row in t4.table)
+    (tmp_path / "t4.txt").write_text(f"{t4.order}\n{rows}")
+    for (spec, count, pool, seed), digest in FUZZ_DIGESTS.items():
+        code, out, err = run_cli(
+            capsys, "fuzz", spec, "--count", count, "--seed", seed, "--pool", pool
+        )
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (spec, pool)
+
+
 # ---------------------------------------------------------------------------
 # minor-norm
 
@@ -506,15 +543,16 @@ def test_repeated_invocations_print_identical_reports(capsys):
 
 FORMATS = ("json", "text", "xml")
 # Counts and sizes stay small so that an example runs in milliseconds:
-# the work of ``fuzz`` grows with ``--count`` unbounded, while ``witness``
-# refuses large orders up front, which the larger values check.
+# ``fuzz`` admits thousands of draws on t3 before its work budget refuses
+# a count, while ``witness`` refuses large orders up front; the larger
+# values check both refusals.
 SMALL = ("-1", "0", "1", "2", "3", "", "x", "1.5")
 OPTIONS = {
     "validate": {"--format": FORMATS},
     "analyze": {"--format": FORMATS},
     "norm-check": {"--notation": ("multiplicative", "additive", "x"), "--format": FORMATS},
     "fuzz": {
-        "--count": SMALL,
+        "--count": SMALL + ("9" * 40,),
         "--seed": SMALL + ("9" * 40,),
         "--pool": ("0,1/2,1,2", "1/2", "", "x", "-1", "1,,2", "1e5000", "1/0"),
         "--format": FORMATS,

@@ -33,6 +33,7 @@ from semnorms import (
     submultiplicative_envelope,
     zero_set,
 )
+from semnorms.norms import DRAW_PAIR_WEIGHT, FUZZ_WORK_BUDGET
 
 HALF = Fraction(1, 2)
 
@@ -291,6 +292,17 @@ def test_pool_validation():
         random_submultiplicative_norms(s, 1, value_pool=(1, -1))
     with pytest.raises(ValueError, match="count"):
         random_submultiplicative_norms(s, -1)
+
+
+def test_work_budget_admits_the_default_count_on_t4_and_refuses_larger_work():
+    # fuzz's default --count 50 on the 256-element t4 must stay admitted.
+    assert 50 * 256**2 * DRAW_PAIR_WEIGHT <= FUZZ_WORK_BUDGET
+    t3 = builtin_semigroup("t3")
+    over = FUZZ_WORK_BUDGET // (27**2 * DRAW_PAIR_WEIGHT) + 1
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"{over} random norms on 27 elements .* over the budget"):
+        random_submultiplicative_norms(t3, over)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_zero_count_is_fine():

@@ -3,11 +3,11 @@
 Each kernel under test takes a shortcut: Light's associativity test in
 ``validate``, integer cross-multiplication in ``check_submultiplicative``,
 the bounded integer rounds of ``submultiplicative_envelope``, the
-quadratic lower sets of ``natural_order``, the single gate of
-``run_suite``, the integer Laplace program of ``compound``, the integer
+quadratic lower sets of ``natural_order``, the Cayley-graph components
+of ``green_structure``, the single gate of ``run_suite``, the integer Laplace program of ``compound``, the integer
 products of ``mat_mul``, the Bareiss elimination of ``rank`` and ``det``,
-the integer pseudoinverse and the split-based tokenizer of the three text
-parsers.  The references here are written from the definitions alone,
+the integer pseudoinverse, and the split-based tokenizer and the
+table-entry lookup of the text parsers.  The references here are written from the definitions alone,
 or are sympy's, and share no code with those kernels; hypothesis draws
 the inputs.
 """
@@ -32,11 +32,15 @@ from semnorms import (
     check_submultiplicative,
     compound,
     det,
+    full_transformation_monoid,
     generalized_inverse,
+    green_structure,
+    left_zero_semigroup,
     mat_mul,
     minor,
     natural_leq,
     natural_order,
+    null_semigroup,
     parse_cayley_text,
     parse_matrix_text,
     parse_norm_text,
@@ -46,6 +50,7 @@ from semnorms import (
     submultiplicative_envelope,
     validate,
 )
+from semnorms.norms import _envelope_rounds
 from semnorms.propositions import SUITE_CHECKERS
 
 NON_ASSOCIATIVE_TABLE = [[0, 1], [0, 0]]
@@ -98,6 +103,57 @@ def bounded_infimum(table, values, length):
         exact = longer
         best = [x if y is None else min(x, y) for x, y in zip(best, exact)]
     return best
+
+
+def reference_validate(table):
+    """The report of ``validate`` from the definitions: rows of the wrong
+    length, then entries that are not plain integers (``bool`` is not),
+    entries out of range, and every triple (i*j)*k != i*(j*k) when all
+    entries are usable."""
+    n = len(table)
+    if n == 0:
+        return (("empty table",), (), ())
+    structural = [
+        f"row {i} has {len(row)} entries, expected {n}"
+        for i, row in enumerate(table)
+        if len(row) != n
+    ]
+    out_of_range = []
+    for i, row in enumerate(table):
+        for j, value in enumerate(row):
+            if type(value) is bool or not isinstance(value, int):
+                structural.append(f"entry ({i}, {j}) is not an integer: {value!r}")
+            elif value < 0 or value >= n:
+                out_of_range.append((i, j, value))
+    if structural or out_of_range:
+        return (tuple(structural), tuple(out_of_range), ())
+    return ((), (), brute_triples(table))
+
+
+def principal_ideal_green(table):
+    """R, L, D and H from principal ideals: a R b iff aS^1 = bS^1, a L b
+    iff S^1 a = S^1 b, H is the pair, and a D b iff a R c and c L b for
+    some c.  Each partition lists its classes by least element."""
+    n = len(table)
+    right = [frozenset(table[a]) | {a} for a in range(n)]
+    left = [frozenset(table[x][a] for x in range(n)) | {a} for a in range(n)]
+
+    def classes_of(key):
+        classes = {}
+        for a in range(n):
+            classes.setdefault(key(a), set()).add(a)
+        return tuple(frozenset(c) for c in sorted(classes.values(), key=min))
+
+    def d_class(a):
+        reached = {left[c] for c in range(n) if right[c] == right[a]}
+        return frozenset(b for b in range(n) if left[b] in reached)
+
+    return (
+        classes_of(right.__getitem__),
+        classes_of(left.__getitem__),
+        classes_of(d_class),
+        classes_of(lambda a: (right[a], left[a])),
+    )
 
 
 def brute_natural_pairs(table):
@@ -257,6 +313,52 @@ def test_validate_accepts_transformation_semigroups(table):
     assert validate(table).ok
 
 
+class Index(int):
+    """An int subclass: a usable index that fails the exact-type check."""
+
+
+@st.composite
+def odd_tables(draw):
+    """A magma with some entries made bool, Index, negative, too large,
+    float or str, and perhaps one row made ragged."""
+    plain = draw(magmas())
+    table = [list(row) for row in plain]
+    n = len(table)
+    odd = st.sampled_from((
+        lambda v: bool(v % 2), Index, lambda v: -1 - v, lambda v: v + n, float, str,
+    ))
+    for _ in range(draw(st.integers(0, 2))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        table[i][j] = draw(odd)(plain[i][j])
+    if draw(st.integers(0, 3)) == 0:
+        row = table[draw(st.integers(0, n - 1))]
+        if draw(st.booleans()) or not row:
+            row.append(0)
+        else:
+            row.pop()
+    return table
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(odd_tables(), magmas()))
+@example([[0]])
+@example([[1]])
+@example([[-1]])
+@example([[True]])
+@example([[False]])
+@example([[Index(0)]])
+@example([[]])
+@example([[0, 1], [1, True]])
+@example([[Index(0), Index(1)], [Index(1), Index(0)]])
+@example([[0, 1], [1, 0, 1]])
+@example([[0], [0, 0]])
+def test_validate_equals_the_definitions_on_odd_entries(table):
+    report = validate(table)
+    assert (report.structural, report.out_of_range, report.non_associative) == (
+        reference_validate(table)
+    )
+
+
 def test_validate_on_the_known_non_associative_table():
     assert validate(NON_ASSOCIATIVE_TABLE).non_associative == brute_triples(
         NON_ASSOCIATIVE_TABLE
@@ -305,13 +407,21 @@ def test_submultiplicative_boundary_with_coprime_denominators():
 @settings(max_examples=300, deadline=None)
 @given(
     st.sampled_from(SMALL_SEMIGROUPS + [t for t in BUILTIN_TABLES if len(t) <= 4]),
-    st.sampled_from([(0, Fraction(1, 2), 1, 2), (Fraction(1, 3), 1, 3)]),
+    st.sampled_from([
+        (0, Fraction(1, 2), 1, 2),
+        (Fraction(1, 2), 1, 2),
+        (Fraction(1, 3), 1, 3),
+        (Fraction(99, 100), 1, Fraction(101, 100)),
+        (0, Fraction(1, 3), Fraction(1, 2), 1, 3),
+    ]),
     st.data(),
 )
 def test_envelope_equals_bounded_factorization_infimum(table, pool, data):
     # A nonzero infimum is reached within n factors and then no longer
     # factorization goes lower; an infimum of 0 is either reached within
     # n factors or shows as a longer factorization going below them.
+    # Values below 1 on idempotents exercise the envelope's rule that
+    # zeroes them after each round.
     n = len(table)
     drawn = data.draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
     values = [Fraction(v) for v in drawn]
@@ -323,6 +433,45 @@ def test_envelope_equals_bounded_factorization_infimum(table, pool, data):
             assert e == short == long
         else:
             assert short == 0 or long < short
+
+
+def test_envelope_zeroes_a_pumped_idempotent_in_the_first_round():
+    # e = (0, 1, 1) is an idempotent of t3 of image size 2; at 1/2 it
+    # pumps, e = e**k, so its infimum and that of the ideal it generates
+    # (the 21 maps of image size at most 2) are 0.  Zeroed after round 1,
+    # the zero reaches x*e and e*y in round 2 and x*e*y in round 3, and
+    # round 4 changes nothing.  Squaring e's value through all R = 5
+    # exact rounds instead took R + 2 rounds.
+    s = builtin_semigroup("t3")
+    maps = sorted(itertools.product(range(3), repeat=3))
+    e = maps.index((0, 1, 1))
+    values = [Fraction(1)] * 27
+    values[e] = Fraction(1, 2)
+    envelope, rounds = _envelope_rounds(s, values)
+    assert list(envelope) == [1 if len(set(f)) == 3 else 0 for f in maps]
+    assert rounds == 4 <= (s.order - 1).bit_length() + 2
+    bound = bounded_infimum(s.table, values, 64)
+    assert all(v == 0 or v == b for v, b in zip(envelope, bound))
+
+
+# ---------------------------------------------------------------------------
+# green_structure: Cayley-graph components against principal ideals.
+
+
+@settings(max_examples=80, deadline=None)
+@given(transformation_tables())
+def test_green_structure_equals_principal_ideals_on_transformation_semigroups(table):
+    assert green_structure(FiniteSemigroup(table)) == principal_ideal_green(table)
+
+
+def test_green_structure_equals_principal_ideals_on_fixed_tables():
+    tables = BUILTIN_TABLES + SMALL_SEMIGROUPS + [
+        [list(row) for row in make(n).table]
+        for make in (left_zero_semigroup, null_semigroup)
+        for n in (1, 2, 5, 17)
+    ] + [list(map(list, full_transformation_monoid(4).table))]
+    for table in tables:
+        assert green_structure(FiniteSemigroup(table)) == principal_ideal_green(table), table
 
 
 # ---------------------------------------------------------------------------
@@ -759,6 +908,23 @@ def norm_texts(draw):
 def arbitrary_texts():
     pieces = SPACES + LINE_BREAKS + ("labels:", "1", "0", "-", "/", ".", "e", "_", "x", "٣")
     return st.lists(st.sampled_from(pieces), max_size=30).map("".join)
+
+
+@pytest.mark.parametrize(
+    "token", ["1", "007", "00", "+1", "-0", "+0", "1_0", "٣", "١", "2", "-1", "0x1", "1.0", "x"]
+)
+def test_table_entry_lookup_equals_int(token):
+    # Canonical spellings take the lookup; any other token sends every
+    # entry through int(), so values and errors are int()'s.
+    text = f"2\n0 1\n1 {token}\n"
+    parsed = outcome(parse_cayley_text, text)
+    assert parsed == outcome(ref_cayley, text)
+    try:
+        value = int(token)
+    except ValueError:
+        assert parsed[0] == "error"
+    else:
+        assert parsed == ("ok", ([[0, 1], [1, value]], None))
 
 
 @settings(max_examples=400, deadline=None)

@@ -158,7 +158,7 @@ def test_semigroup_is_an_immutable_value():
     assert s != FiniteSemigroup(Z2_TABLE) and s != Z2_TABLE
     assert {same: "found"}[s] == "found"
     assert repr(s) == "FiniteSemigroup(order=2)"
-    for name in ("table", "labels", "order", "extra"):
+    for name in ("table", "labels", "generators", "order", "extra"):
         with pytest.raises(AttributeError):
             setattr(s, name, None)
         with pytest.raises(AttributeError):
