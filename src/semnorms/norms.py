@@ -240,8 +240,11 @@ def submultiplicative_envelope(s: FiniteSemigroup, values) -> NormTable:
       go below I, so I(e) < 1, and e = e**k for every k gives
       I(e) <= I(e)**k -> 0, so I(e) = 0 and the write is exact.  The rule
       writes 0 only where I = 0, so the round rule above still holds.
-      Without it such a value keeps squaring through all R exact rounds,
-      its integers doubling in length each round.
+      It fires only in a round that already changed: an idempotent that
+      enters a round valued in (0, 1) is lowered in it by its own square
+      e*e = e, and one that leaves a round so valued was written in it.
+      Without the rule such a value keeps squaring through all R exact
+      rounds, its integers doubling in length each round.
     - Bounded work.  After round R only zeros are written, and each
       round that changes anything writes at least one new zero, so at
       most n more rounds change anything and the loop runs at most
@@ -280,24 +283,24 @@ def _envelope_rounds(s: FiniteSemigroup, values) -> tuple[NormTable, int]:
                         new_num[c], new_den[c] = 0, 1
         for e in idempotents:
             if 0 < new_num[e] < new_den[e]:
-                changed = True
                 new_num[e], new_den[e] = 0, 1
         if not changed:
             return NormTable(Fraction(p, q) for p, q in zip(num, den)), rounds
         num, den = new_num, new_den
 
 
-# Most pair steps one call of ``random_submultiplicative_norms`` may take,
-# estimated up front as count * n**2 * DRAW_PAIR_WEIGHT on a table of
-# order n.  A draw visits every pair of its table in the check of the raw
+# Most table pairs the draws after the first of one call of
+# ``random_submultiplicative_norms`` may visit, estimated up front as
+# (count - 1) * n**2 on a table of order n.  The first draw is always
+# admitted: it costs a few passes over the table the caller has already
+# loaded.  A draw visits every pair of its table in the check of the raw
 # draw, in each round of its envelope (two to four rounds on the builtins
-# and t4 over the pools 0,1/2,1,2 and 1/2,1,2 and 1,2,3; R + n + 1 at
-# most), in the re-verification and in the suite's gate; the weight counts
-# eight visits.  Measured through ``fuzz`` on a 2-core Xeon, a draw costs
-# 0.6 to 0.7 microseconds per pair on t4 and 0.8 to 1.4 on t3, so the
-# budget admits 95 draws on t4 (3.9 s) and 8573 on t3 (6.8 s).
-FUZZ_WORK_BUDGET = 50_000_000
-DRAW_PAIR_WEIGHT = 8
+# and t4 over eight pools, near-one pools among them; R + n + 1 at most),
+# in the re-verification and in the suite's gate.  Measured through
+# ``fuzz`` on a 2-core Xeon, a draw costs 0.6 to 0.7 microseconds per
+# pair on t4 and 0.8 to 1.4 on t3, so the budget admits 96 draws on t4
+# (about 4 s), 8574 on t3 (about 7 s) and one on t5.
+FUZZ_WORK_BUDGET = 6_250_000
 
 
 class NormBatch(NamedTuple):
@@ -329,9 +332,9 @@ def random_submultiplicative_norms(
     tables of order n a draw passes with a probability that decays
     exponentially in n^2, and already around order 6 hardly any does.
 
-    Every returned table is re-verified, not trusted.  A call estimated
-    at more than FUZZ_WORK_BUDGET pair steps raises ValueError before any
-    draw.
+    Every returned table is re-verified, not trusted.  A call whose draws
+    after the first would visit more than FUZZ_WORK_BUDGET table pairs
+    raises ValueError before any draw.
     """
     pool = tuple(Fraction(v) for v in value_pool)
     if not pool:
@@ -341,11 +344,11 @@ def random_submultiplicative_norms(
             raise NormDomainError(f"value pool contains a negative entry: {v}")
     if count < 0:
         raise ValueError("count must be nonnegative")
-    steps = count * s.order**2 * DRAW_PAIR_WEIGHT
-    if steps > FUZZ_WORK_BUDGET:
+    pairs = (count - 1) * s.order**2
+    if pairs > FUZZ_WORK_BUDGET:
         raise ValueError(
-            f"{count} random norms on {s.order} elements need about {steps} pair steps, "
-            f"over the budget of {FUZZ_WORK_BUDGET}"
+            f"{count} random norms on {s.order} elements visit {pairs} table pairs "
+            f"after the first draw, over the budget of {FUZZ_WORK_BUDGET}"
         )
     rng = random.Random(seed)
     norms: list[NormTable] = []

@@ -297,7 +297,7 @@ def test_fuzz_over_the_work_budget_exits_2_at_once(capsys):
     code, out, err = run_cli(capsys, "fuzz", "t3", "--count", "1000000000")
     assert time.perf_counter() - start < 1
     assert (code, out) == (2, "")
-    assert "over the budget of 50000000" in err and "Traceback" not in err
+    assert "over the budget of 6250000" in err and "Traceback" not in err
 
 
 # The stdout sha256 of ``fuzz`` before the envelope zeroed pumped

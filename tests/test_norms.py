@@ -33,7 +33,8 @@ from semnorms import (
     submultiplicative_envelope,
     zero_set,
 )
-from semnorms.norms import DRAW_PAIR_WEIGHT, FUZZ_WORK_BUDGET
+from semnorms import norms
+from semnorms.norms import FUZZ_WORK_BUDGET
 
 HALF = Fraction(1, 2)
 
@@ -296,13 +297,23 @@ def test_pool_validation():
 
 def test_work_budget_admits_the_default_count_on_t4_and_refuses_larger_work():
     # fuzz's default --count 50 on the 256-element t4 must stay admitted.
-    assert 50 * 256**2 * DRAW_PAIR_WEIGHT <= FUZZ_WORK_BUDGET
+    assert (50 - 1) * 256**2 <= FUZZ_WORK_BUDGET
     t3 = builtin_semigroup("t3")
-    over = FUZZ_WORK_BUDGET // (27**2 * DRAW_PAIR_WEIGHT) + 1
+    over = FUZZ_WORK_BUDGET // 27**2 + 2
     start = time.perf_counter()
     with pytest.raises(ValueError, match=f"{over} random norms on 27 elements .* over the budget"):
         random_submultiplicative_norms(t3, over)
     assert time.perf_counter() - start < 0.5
+
+
+def test_work_budget_always_admits_one_draw(monkeypatch):
+    # One draw is admitted at any order, even where a single table's pairs
+    # exceed the budget (t5 has 3125**2); only the draws after it count.
+    monkeypatch.setattr(norms, "FUZZ_WORK_BUDGET", 27**2 - 1)
+    t3 = builtin_semigroup("t3")
+    assert len(random_submultiplicative_norms(t3, 1, seed=3).norms) == 1
+    with pytest.raises(ValueError, match="2 random norms on 27 elements visit 729 table pairs"):
+        random_submultiplicative_norms(t3, 2)
 
 
 def test_zero_count_is_fine():
