@@ -91,13 +91,6 @@ _EXPORTS = {
                 "PASS",
                 "SUITE_IDS",
                 "PropositionVerdict",
-                "check_group_lower_bound",
-                "check_idempotent_norm_dichotomy",
-                "check_inverse_lower_bound",
-                "check_order_zero_downward",
-                "check_zero_element_bound",
-                "check_zero_set_closed",
-                "check_zero_spreads_over_d_class",
                 "run_suite",
                 "suite_to_jsonable",
             ),

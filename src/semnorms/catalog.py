@@ -9,6 +9,7 @@ everywhere.
 from __future__ import annotations
 
 import itertools
+from functools import cache
 
 from .semigroups import FiniteSemigroup
 
@@ -66,7 +67,10 @@ BUILTIN_SEMIGROUPS = {
 }
 
 
+@cache
 def builtin_semigroup(name: str) -> FiniteSemigroup:
+    """The stock semigroup ``name``, one shared instance per name, so the
+    structure derived on it is computed once per process."""
     try:
         factory = BUILTIN_SEMIGROUPS[name]
     except KeyError:

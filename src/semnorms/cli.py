@@ -62,15 +62,11 @@ def cmd_validate(args) -> int:
 
     if args.input in BUILTIN_SEMIGROUPS:
         table = builtin_semigroup(args.input).table
-        report = validate(table)
-        order = len(table)
     else:
         with open(args.input, encoding="utf-8") as fh:
-            rows, labels = parse_cayley_text(fh.read())
-        report = validate(rows)
-        order = len(rows)
-        del labels  # length already enforced by the parser
-    out = {"command": "validate", "input": args.input, "order": order}
+            table, _ = parse_cayley_text(fh.read())
+    report = validate(table)
+    out = {"command": "validate", "input": args.input, "order": len(table)}
     out.update(report.to_jsonable())
     _emit(out, args.format)
     return 0 if report.ok else 1
@@ -112,11 +108,11 @@ def cmd_analyze(args) -> int:
 def cmd_norm_check(args) -> int:
     from .axioms import classify_literature_axioms
     from .norms import load_norm_table
-    from .propositions import FAIL, SUITE_IDS, _gated_suite, suite_to_jsonable
+    from .propositions import FAIL, _gated_suite, suite_to_jsonable
 
     s = _load_semigroup(args.semigroup)
     norm = load_norm_table(args.norm)
-    verdict, suite = _gated_suite(s, norm, SUITE_IDS)
+    verdict, suite = _gated_suite(s, norm)
     axioms = classify_literature_axioms(s, norm, notation=args.notation)
     ok = verdict.ok and all(v.status != FAIL for v in suite)
     out = {

@@ -7,10 +7,9 @@ and L (and equals L;R).
 
 from __future__ import annotations
 
-from functools import cache
 from typing import NamedTuple
 
-from .semigroups import FiniteSemigroup
+from .semigroups import FiniteSemigroup, derived
 
 Partition = tuple[frozenset[int], ...]
 
@@ -74,9 +73,10 @@ def _strong_components(successors: list) -> list[int]:
     return component
 
 
-@cache
+@derived
 def green_structure(s: FiniteSemigroup) -> GreenStructure:
-    """Compute all four partitions.  Cached per semigroup: the structure
+    """Compute all four partitions.  They are kept on the semigroup
+    (``semigroups.derived``) and computed once per instance: the structure
     is reused heavily when many norms are checked against one table.
 
     Over a generating set G (``s.generators``), b lies in aS^1 iff b is

@@ -7,10 +7,9 @@ on a group it collapses to equality.
 
 from __future__ import annotations
 
-from functools import cache
 from typing import NamedTuple
 
-from .semigroups import FiniteSemigroup, _check_element
+from .semigroups import FiniteSemigroup, _check_element, derived
 
 
 class OrderRelation(NamedTuple):
@@ -34,7 +33,7 @@ def natural_leq(s: FiniteSemigroup, a: int, b: int) -> bool:
     )
 
 
-@cache
+@derived
 def natural_order(s: FiniteSemigroup) -> OrderRelation:
     """All pairs (a, b) with a <= b, reflexive pairs included.
 

@@ -20,7 +20,7 @@ from .errors import (
     Tokens,
     rational,
 )
-from .semigroups import FiniteSemigroup
+from .semigroups import FiniteSemigroup, idempotents
 
 NORM_FAMILIES = ("zero", "one", "abs", "exp", "exp_abs")
 
@@ -263,7 +263,6 @@ def _envelope_rounds(s: FiniteSemigroup, values) -> tuple[NormTable, int]:
     """``submultiplicative_envelope`` and the number of rounds it ran."""
     norm = _coerce(s, values)
     num, den = _numerators_denominators(norm.values)
-    idempotents = [e for e, row in enumerate(s.table) if row[e] == e]
     exact_rounds = (s.order - 1).bit_length()
     rounds = 0
     while True:
@@ -281,7 +280,7 @@ def _envelope_rounds(s: FiniteSemigroup, values) -> tuple[NormTable, int]:
                         new_num[c], new_den[c] = p // g, q // g
                     else:
                         new_num[c], new_den[c] = 0, 1
-        for e in idempotents:
+        for e in idempotents(s):
             if 0 < new_num[e] < new_den[e]:
                 new_num[e], new_den[e] = 0, 1
         if not changed:

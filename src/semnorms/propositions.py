@@ -1,7 +1,7 @@
-"""Structural laws that every submultiplicative norm obeys, as checkers.
+"""Structural laws that every submultiplicative norm obeys, as one suite.
 
-Each checker first verifies that the table is submultiplicative at all;
-if not, the law's hypothesis is void and the verdict is INAPPLICABLE
+The suite first verifies that the table is submultiplicative at all; if
+not, every law's hypothesis is void and its verdict is INAPPLICABLE
 rather than a vacuous PASS.  A FAIL verdict always carries a witness
 tuple that re-evaluates to a genuine violation on its own.
 
@@ -149,84 +149,40 @@ def _scan_order_zero_downward(s, norm):
     return PropositionVerdict("P8", PASS)
 
 
-def _gated_suite(s: FiniteSemigroup, values, prop_ids):
-    """The submultiplicativity verdict, and the scans of ``prop_ids``
-    behind it as a single gate.  The gate depends only on the table and
-    the norm, never on the law, so one check decides it for every law at
-    once; ``norm-check`` reports the verdict itself as well."""
+# The one registry, in suite order: law id to its raw scan, which assumes
+# a submultiplicative norm.  SUITE_IDS and the suite are read off it.
+_SCANS = {
+    "P2": _scan_idempotent_dichotomy,
+    "P3": _scan_zero_set_closed,
+    "P4": _scan_zero_spreads_over_d_class,
+    "P5": _scan_inverse_lower_bound,
+    "P6": _scan_group_lower_bound,
+    "P7": _scan_zero_element_bound,
+    "P8": _scan_order_zero_downward,
+}
+
+SUITE_IDS = tuple(_SCANS)
+
+
+def _gated_suite(s: FiniteSemigroup, values):
+    """The submultiplicativity verdict, and every law's scan behind it as
+    a single gate.  The gate depends only on the table and the norm, never
+    on the law, so one check decides it for every law at once;
+    ``norm-check`` reports the verdict itself as well."""
     norm = _coerce(s, values)
     gate = check_submultiplicative(s, norm)
     if not gate.ok:
         return gate, tuple(
             PropositionVerdict(prop_id, INAPPLICABLE, detail=_NOT_SUBMULTIPLICATIVE)
-            for prop_id in prop_ids
+            for prop_id in _SCANS
         )
-    return gate, tuple(_SCANS[prop_id](s, norm) for prop_id in prop_ids)
-
-
-def _gated(prop_id: str, s: FiniteSemigroup, values) -> PropositionVerdict:
-    return _gated_suite(s, values, (prop_id,))[1][0]
-
-
-def check_idempotent_norm_dichotomy(s: FiniteSemigroup, values) -> PropositionVerdict:
-    """P2: no idempotent value strictly between 0 and 1."""
-    return _gated("P2", s, values)
-
-
-def check_zero_set_closed(s: FiniteSemigroup, values) -> PropositionVerdict:
-    """P3: products of zero-value elements have value zero."""
-    return _gated("P3", s, values)
-
-
-def check_zero_spreads_over_d_class(s: FiniteSemigroup, values) -> PropositionVerdict:
-    """P4: within one D-class, values are all zero or all nonzero."""
-    return _gated("P4", s, values)
-
-
-def check_inverse_lower_bound(s: FiniteSemigroup, values) -> PropositionVerdict:
-    """P5: inverses of a obey value(b) >= 1/value(a) when value(a) != 0."""
-    return _gated("P5", s, values)
-
-
-def check_group_lower_bound(s: FiniteSemigroup, values) -> PropositionVerdict:
-    """P6: on a group, all-nonzero values are all >= 1."""
-    return _gated("P6", s, values)
-
-
-def check_zero_element_bound(s: FiniteSemigroup, values) -> PropositionVerdict:
-    """P7: a one-sided zero with nonzero value forces min value >= 1."""
-    return _gated("P7", s, values)
-
-
-def check_order_zero_downward(s: FiniteSemigroup, values) -> PropositionVerdict:
-    """P8: zero values propagate downward along the natural order."""
-    return _gated("P8", s, values)
-
-
-# The one registry, in suite order: law id, raw scan, public checker.
-# SUITE_IDS, SUITE_CHECKERS, _SCANS and run_suite are read off it.
-_LAWS = (
-    ("P2", _scan_idempotent_dichotomy, check_idempotent_norm_dichotomy),
-    ("P3", _scan_zero_set_closed, check_zero_set_closed),
-    ("P4", _scan_zero_spreads_over_d_class, check_zero_spreads_over_d_class),
-    ("P5", _scan_inverse_lower_bound, check_inverse_lower_bound),
-    ("P6", _scan_group_lower_bound, check_group_lower_bound),
-    ("P7", _scan_zero_element_bound, check_zero_element_bound),
-    ("P8", _scan_order_zero_downward, check_order_zero_downward),
-)
-
-SUITE_IDS = tuple(prop_id for prop_id, _, _ in _LAWS)
-SUITE_CHECKERS = tuple(checker for _, _, checker in _LAWS)
-_SCANS = {prop_id: scan for prop_id, scan, _ in _LAWS}
+    return gate, tuple(scan(s, norm) for scan in _SCANS.values())
 
 
 def run_suite(s: FiniteSemigroup, values) -> tuple[PropositionVerdict, ...]:
-    """All seven checkers, in suite order P2..P8, behind one gate.
-
-    Equal to ``tuple(c(s, values) for c in SUITE_CHECKERS)``, but the
-    submultiplicativity check runs once instead of seven times.
-    """
-    return _gated_suite(s, values, SUITE_IDS)[1]
+    """The verdicts of P2..P8, in suite order.  Each is INAPPLICABLE when
+    the norm is not submultiplicative, since the law's hypothesis is void."""
+    return _gated_suite(s, values)[1]
 
 
 def suite_to_jsonable(verdicts) -> list[dict]:

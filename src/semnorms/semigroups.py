@@ -9,6 +9,7 @@ consulted by the algebra itself.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import wraps
 from operator import itemgetter
 from typing import NamedTuple, Sequence
 
@@ -186,6 +187,24 @@ def _good_middle(rows: list[tuple[int, ...]], g: int) -> bool:
     return all(rows[row_x[g]] == x_g_y(row_x) for row_x in rows)
 
 
+def derived(fn):
+    """Compute ``fn(s)`` once per semigroup s and keep it on s.
+
+    The value is a function of the table alone, so it is stored in the
+    semigroup's ``_derived`` dict and dies with the semigroup; equality and
+    hashing never read that dict.
+    """
+
+    @wraps(fn)
+    def once(s):
+        store = s._derived
+        if fn not in store:
+            store[fn] = fn(s)
+        return store[fn]
+
+    return once
+
+
 class FiniteSemigroup:
     """An immutable finite semigroup, equal and hashed by its table and
     labels.
@@ -194,11 +213,12 @@ class FiniteSemigroup:
     it is not square, not in range, or not associative.  ``labels`` is an
     optional per-element tuple of exact rationals.  ``generators`` is the
     generating set G that Light's test picked during validation: every
-    element is a product of elements of G.  It is derived from the table,
-    so it takes no part in equality.
+    element is a product of elements of G.  It and the ``@derived``
+    structure (Green classes, natural order, idempotents, zeros, ...) are
+    functions of the table, so they take no part in equality.
     """
 
-    __slots__ = ("table", "labels", "generators")
+    __slots__ = ("table", "labels", "generators", "_derived")
 
     def __init__(self, table: Sequence[Sequence[int]], labels: Sequence | None = None):
         table = tuple(tuple(row) for row in table)
@@ -218,6 +238,7 @@ class FiniteSemigroup:
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "_derived", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("FiniteSemigroup is immutable")
@@ -245,6 +266,7 @@ class FiniteSemigroup:
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
 
+    @derived
     def identity(self) -> int | None:
         """Index of the two-sided identity, or None."""
         for e in self.elements():
@@ -256,6 +278,7 @@ class FiniteSemigroup:
         return f"FiniteSemigroup(order={self.order})"
 
 
+@derived
 def idempotents(s: FiniteSemigroup) -> frozenset[int]:
     """All e with e*e = e, by direct scan."""
     return frozenset(e for e in s.elements() if s.table[e][e] == e)
@@ -274,6 +297,7 @@ def inverse_set(s: FiniteSemigroup, a: int) -> frozenset[int]:
     return frozenset(found)
 
 
+@derived
 def is_regular(s: FiniteSemigroup) -> bool:
     """True iff every a has some x with a*x*a = a.
 
@@ -296,6 +320,7 @@ class ZeroElements(NamedTuple):
     two_sided: frozenset[int]
 
 
+@derived
 def zero_elements(s: FiniteSemigroup) -> ZeroElements:
     """Left zeros (z*x = z for all x), right zeros (x*z = z for all x),
     and their intersection.  A two-sided zero is unique when it exists."""
@@ -377,5 +402,4 @@ def load_cayley_table(path) -> FiniteSemigroup:
     """Read and validate a semigroup from a Cayley-table text file."""
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
-    rows, labels = parse_cayley_text(text)
-    return FiniteSemigroup(tuple(tuple(r) for r in rows), tuple(labels) if labels else None)
+    return FiniteSemigroup(*parse_cayley_text(text))

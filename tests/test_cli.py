@@ -18,6 +18,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -325,6 +326,51 @@ def test_fuzz_output_bytes_are_pinned(capsys, tmp_path, monkeypatch):
         )
         assert (code, err) == (0, "")
         assert hashlib.sha256(out.encode()).hexdigest() == digest, (spec, pool)
+
+
+# The stdout sha256 of ``analyze`` and of ``norm-check`` with two norms:
+# the constant-1 norm ``one.txt``, which passes, and ``bad.txt`` with
+# values 1/2, 1, 3/2, 1/2, ..., which is not submultiplicative and exits 1
+# with a witness.  Recorded before the derived structure moved onto the
+# semigroup and the suite into one registry.
+ANALYZE_DIGESTS = {
+    "t4.txt": "4e68d4f3e55cbe96db59fb8c55c8c6f8a2a85fc383cf4dc4a18e29c88ddc8a19",
+    "t3": "5c55458a96500930c42bb375b6dfd0db59ce41445c48e3a2990d57e818fa4ab9",
+    "leftzero3": "8fa84a669e52ddf66078cb26121217c90576be53e2196d87eb4dbd5f745b4c61",
+    "null4": "e649f0748aae3150894330d80c3ef43ef07260a4b67f6bc214a0a54c29207779",
+}
+NORM_CHECK_DIGESTS = {
+    ("t4.txt", "one.txt"): "9ce12f308efa719f53caae270997dd777b4b73c49f77c0d8f54872220f935119",
+    ("t4.txt", "bad.txt"): "1715b2b565849a7f4b79f39581a80f03c2b7db8fb9502987ff0450577e358213",
+    ("t3", "one.txt"): "dfcc58b3cb83777c56ab0a4951da7cd1a41971bc84671f6cf98dc59c4484d063",
+    ("t3", "bad.txt"): "d28b8a15022df705f615d5a01260f85e321f486d95b63d1a96f24dc1b6e8d418",
+    ("leftzero3", "one.txt"): "f6e403c2bc5182fa4abd75ca81d8ceba420ed992ea7c586022410a55fcb50869",
+    ("leftzero3", "bad.txt"): "5df03a76bd351c49b06fda3c8a6be686a48b42517a03efcbc01369faf5b8c4c8",
+    ("null4", "one.txt"): "bb485ef3f30706956604ee558db1796ea48fd8ccf662387f18f2e2c29102cf54",
+    ("null4", "bad.txt"): "c17c8642ceee7247d5dd8ca50e37a8d8b54e13e7e1ce876625b640a6eb967a0e",
+}
+
+
+def test_analyze_and_norm_check_output_bytes_are_pinned(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    t4 = full_transformation_monoid(4)
+    rows = "".join(" ".join(map(str, row)) + "\n" for row in t4.table)
+    (tmp_path / "t4.txt").write_text(f"{t4.order}\n{rows}")
+    for spec, digest in ANALYZE_DIGESTS.items():
+        code, out, err = run_cli(capsys, "analyze", spec)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, spec
+    orders = {"t4.txt": 256, "t3": 27, "leftzero3": 3, "null4": 4}
+    for (spec, norm), digest in NORM_CHECK_DIGESTS.items():
+        n = orders[spec]
+        if norm == "one.txt":
+            values = ["1"] * n
+        else:
+            values = [str(Fraction(a % 3 + 1, 2)) for a in range(n)]
+        (tmp_path / norm).write_text("".join(f"{v}\n" for v in values))
+        code, out, err = run_cli(capsys, "norm-check", spec, norm)
+        assert (code, err) == (0 if norm == "one.txt" else 1, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (spec, norm)
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from semnorms import (
     FAIL,
     INAPPLICABLE,
     FiniteSemigroup,
+    NormTable,
     ParseError,
     RatMatrix,
     builtin_semigroup,
@@ -51,7 +52,15 @@ from semnorms import (
     validate,
 )
 from semnorms.norms import _envelope_rounds
-from semnorms.propositions import SUITE_CHECKERS
+from semnorms.propositions import (
+    _scan_group_lower_bound,
+    _scan_idempotent_dichotomy,
+    _scan_inverse_lower_bound,
+    _scan_order_zero_downward,
+    _scan_zero_element_bound,
+    _scan_zero_set_closed,
+    _scan_zero_spreads_over_d_class,
+)
 
 NON_ASSOCIATIVE_TABLE = [[0, 1], [0, 0]]
 
@@ -494,7 +503,31 @@ def test_natural_order_equals_definition_on_transformation_semigroups(table):
 
 
 # ---------------------------------------------------------------------------
-# run_suite: one gate against the seven separately gated checkers.
+# run_suite: one gate against the seven raw scans, in suite order, behind
+# the Fraction submultiplicativity oracle.
+
+RAW_SCANS = (
+    _scan_idempotent_dichotomy,
+    _scan_zero_set_closed,
+    _scan_zero_spreads_over_d_class,
+    _scan_inverse_lower_bound,
+    _scan_group_lower_bound,
+    _scan_zero_element_bound,
+    _scan_order_zero_downward,
+)
+
+
+def assert_suite_is_gated_raw_scans(s, values):
+    """run_suite(s, values) is every raw scan when the oracle finds the
+    table submultiplicative, and all INAPPLICABLE when it does not."""
+    suite = run_suite(s, values)
+    values = [Fraction(v) for v in values]
+    if fraction_submultiplicative(s.table, values)[0]:
+        norm = NormTable(values)
+        assert suite == tuple(scan(s, norm) for scan in RAW_SCANS)
+    else:
+        assert {v.status for v in suite} == {INAPPLICABLE}
+    return suite
 
 
 @settings(max_examples=40, deadline=None)
@@ -506,8 +539,7 @@ def test_natural_order_equals_definition_on_transformation_semigroups(table):
 def test_run_suite_equals_separate_checkers(table, seed, pool):
     s = FiniteSemigroup(table)
     for norm in random_submultiplicative_norms(s, 2, seed=seed, value_pool=pool).norms:
-        suite = run_suite(s, norm)
-        assert suite == tuple(c(s, norm) for c in SUITE_CHECKERS)
+        suite = assert_suite_is_gated_raw_scans(s, norm)
         # P2-P8 hold for every submultiplicative norm.
         assert FAIL not in {v.status for v in suite}
 
@@ -516,11 +548,7 @@ def test_run_suite_equals_separate_checkers(table, seed, pool):
 @given(tables_with_values())
 def test_run_suite_equals_separate_checkers_on_raw_values(case):
     table, values = case
-    s = FiniteSemigroup(table)
-    suite = run_suite(s, values)
-    assert suite == tuple(c(s, values) for c in SUITE_CHECKERS)
-    if not fraction_submultiplicative(table, [Fraction(v) for v in values])[0]:
-        assert {v.status for v in suite} == {INAPPLICABLE}
+    assert_suite_is_gated_raw_scans(FiniteSemigroup(table), values)
 
 
 

@@ -5,6 +5,7 @@ fact asserted below was computed independently from those tables before
 the assertions were written.
 """
 
+import sys
 import time
 from fractions import Fraction
 
@@ -18,11 +19,13 @@ from semnorms import (
     builtin_semigroup,
     cyclic_group,
     full_transformation_monoid,
+    green_structure,
     idempotents,
     inverse_set,
     is_regular,
     left_zero_semigroup,
     load_cayley_table,
+    natural_order,
     null_semigroup,
     parse_cayley_text,
     symmetric_group,
@@ -158,12 +161,39 @@ def test_semigroup_is_an_immutable_value():
     assert s != FiniteSemigroup(Z2_TABLE) and s != Z2_TABLE
     assert {same: "found"}[s] == "found"
     assert repr(s) == "FiniteSemigroup(order=2)"
-    for name in ("table", "labels", "generators", "order", "extra"):
+    for name in ("table", "labels", "generators", "_derived", "order", "extra"):
         with pytest.raises(AttributeError):
             setattr(s, name, None)
         with pytest.raises(AttributeError):
             delattr(s, name)
     assert (s.table, s.labels) == (Z2_TABLE, (1, Fraction(1, 2)))
+
+
+DERIVED_QUERIES = (
+    green_structure,
+    natural_order,
+    idempotents,
+    zero_elements,
+    is_regular,
+    FiniteSemigroup.identity,
+)
+
+
+def test_derived_structure_lives_on_the_semigroup_alone():
+    # Each query is computed once and kept on the instance, not in a
+    # module-level cache that would hold a reference to the semigroup.
+    s = FiniteSemigroup(T2_TABLE)
+    before = sys.getrefcount(s)
+    first = [query(s) for query in DERIVED_QUERIES]
+    assert sys.getrefcount(s) == before
+    assert all(query(s) is value for query, value in zip(DERIVED_QUERIES, first))
+    fresh = FiniteSemigroup(T2_TABLE)
+    assert s == fresh and hash(s) == hash(fresh)
+
+
+def test_builtin_semigroup_is_one_shared_instance_per_name():
+    assert builtin_semigroup("t3") is builtin_semigroup("t3")
+    assert builtin_semigroup("t2") is not builtin_semigroup("t3")
 
 
 # ---------------------------------------------------------------------------
