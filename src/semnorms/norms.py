@@ -292,13 +292,12 @@ def _envelope_rounds(s: FiniteSemigroup, values) -> tuple[NormTable, int]:
 # ``random_submultiplicative_norms`` may visit, estimated up front as
 # (count - 1) * n**2 on a table of order n.  The first draw is always
 # admitted: it costs a few passes over the table the caller has already
-# loaded.  A draw visits every pair of its table in the check of the raw
-# draw, in each round of its envelope (two to four rounds on the builtins
-# and t4 over eight pools, near-one pools among them; R + n + 1 at most),
-# in the re-verification and in the suite's gate.  Measured through
-# ``fuzz`` on a 2-core Xeon, a draw costs 0.6 to 0.7 microseconds per
-# pair on t4 and 0.8 to 1.4 on t3, so the budget admits 96 draws on t4
-# (about 4 s), 8574 on t3 (about 7 s) and one on t5.
+# loaded.  A draw visits every pair of its table in each round of its
+# envelope (one round when the raw draw is already submultiplicative,
+# two to four on the builtins and t4 over eight pools, near-one pools
+# among them; R + n + 1 at most) and once more in the suite's gate.
+# The constant keeps the largest admitted counts at 96 draws on t4,
+# 8574 on t3 and one on t5.
 FUZZ_WORK_BUDGET = 6_250_000
 
 
@@ -306,8 +305,8 @@ class NormBatch(NamedTuple):
     """Output of the random generator, with its sampling statistics.
 
     Every draw yields a table, so ``attempts`` always equals
-    ``requested``; ``repaired`` counts the draws replaced by their
-    envelope."""
+    ``requested``; ``repaired`` counts the draws that were not
+    submultiplicative, so that their envelope differs from them."""
 
     norms: tuple[NormTable, ...]
     requested: int
@@ -324,16 +323,21 @@ def random_submultiplicative_norms(
     """Draw ``count`` random submultiplicative norm tables, deterministically
     for a given seed.
 
-    Each draw assigns every element a uniform value from ``value_pool``
-    and is kept if it already passes check_submultiplicative; otherwise
-    it is replaced by its submultiplicative envelope, so every draw
-    yields a table.  Rejecting failing draws instead would stall: on
+    Each draw assigns every element, in element order, a uniform value
+    from ``value_pool`` and yields its submultiplicative envelope, so every
+    draw yields a table.  Rejecting failing draws instead would stall: on
     tables of order n a draw passes with a probability that decays
     exponentially in n^2, and already around order 6 hardly any does.
 
-    Every returned table is re-verified, not trusted.  A call whose draws
-    after the first would visit more than FUZZ_WORK_BUDGET table pairs
-    raises ValueError before any draw.
+    The envelope is a draw's only scan.  Its first round writes nothing
+    exactly when the draw is submultiplicative (an idempotent valued in
+    (0, 1) is lowered there by e*e = e), so ``repaired`` counts the draws
+    whose envelope ran more than one round.  It returns only after a full
+    round that wrote nothing, which compared value(a*b) with
+    value(a)*value(b) on every pair of exactly the table it returns: that
+    round is the re-verification.  A call whose draws after the first
+    would visit more than FUZZ_WORK_BUDGET table pairs raises ValueError
+    before any draw.
     """
     pool = tuple(Fraction(v) for v in value_pool)
     if not pool:
@@ -353,14 +357,9 @@ def random_submultiplicative_norms(
     norms: list[NormTable] = []
     repaired = 0
     for _ in range(count):
-        draw = NormTable(rng.choice(pool) for _ in s.elements())
-        if not check_submultiplicative(s, draw).ok:
-            repaired += 1
-            draw = submultiplicative_envelope(s, draw)
-        norms.append(draw)
-    for norm in norms:
-        if not check_submultiplicative(s, norm).ok:  # pragma: no cover
-            raise RuntimeError("generator produced a non-submultiplicative table")
+        norm, rounds = _envelope_rounds(s, [rng.choice(pool) for _ in s.elements()])
+        norms.append(norm)
+        repaired += rounds > 1
     return NormBatch(tuple(norms), count, count, repaired)
 
 

@@ -27,7 +27,7 @@ from .norms import _coerce, check_submultiplicative, zero_set
 from .semigroups import (
     FiniteSemigroup,
     idempotents,
-    inverse_set,
+    inverse_sets,
     is_regular,
     zero_elements,
 )
@@ -100,11 +100,11 @@ def _scan_zero_spreads_over_d_class(s, norm):
 
 def _scan_inverse_lower_bound(s, norm):
     v = norm.values
-    for a in s.elements():
+    for a, inverses in enumerate(inverse_sets(s)):
         if v[a] == 0:
             continue
         bound = 1 / v[a]
-        for b in sorted(inverse_set(s, a)):
+        for b in inverses:
             if v[b] < bound:
                 return PropositionVerdict("P5", FAIL, witness=(a, b, v[a], v[b]))
     return PropositionVerdict("P5", PASS)
@@ -142,10 +142,12 @@ def _scan_zero_element_bound(s, norm):
 
 
 def _scan_order_zero_downward(s, norm):
+    # The least violating pair is the one a scan in sorted order meets first.
     v = norm.values
-    for a, b in sorted(natural_order(s).pairs):
-        if v[b] == 0 and v[a] != 0:
-            return PropositionVerdict("P8", FAIL, witness=(a, b, v[a]))
+    violations = [(a, b) for a, b in natural_order(s).pairs if v[b] == 0 and v[a] != 0]
+    if violations:
+        a, b = min(violations)
+        return PropositionVerdict("P8", FAIL, witness=(a, b, v[a]))
     return PropositionVerdict("P8", PASS)
 
 

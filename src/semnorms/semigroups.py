@@ -284,17 +284,21 @@ def idempotents(s: FiniteSemigroup) -> frozenset[int]:
     return frozenset(e for e in s.elements() if s.table[e][e] == e)
 
 
+@derived
+def inverse_sets(s: FiniteSemigroup) -> tuple[tuple[int, ...], ...]:
+    """Per element a, its inverses (``inverse_set``) in increasing order,
+    all found by one n^2 scan."""
+    t = s.table
+    return tuple(
+        tuple(b for b, ab in enumerate(row_a) if t[ab][a] == a and t[t[b][a]][b] == b)
+        for a, row_a in enumerate(t)
+    )
+
+
 def inverse_set(s: FiniteSemigroup, a: int) -> frozenset[int]:
     """All b with a*b*a = a and b*a*b = b (possibly empty)."""
     _check_element(s, a)
-    t = s.table
-    found = []
-    for b in s.elements():
-        ab = t[a][b]
-        ba = t[b][a]
-        if t[ab][a] == a and t[ba][b] == b:
-            found.append(b)
-    return frozenset(found)
+    return frozenset(inverse_sets(s)[a])
 
 
 @derived
@@ -304,14 +308,7 @@ def is_regular(s: FiniteSemigroup) -> bool:
     Equivalent to every element having a nonempty inverse set: from
     a*x*a = a the element x*a*x is a genuine inverse of a.
     """
-    t = s.table
-    for a in s.elements():
-        for x in s.elements():
-            if t[t[a][x]][a] == a:
-                break
-        else:
-            return False
-    return True
+    return all(inverse_sets(s))
 
 
 class ZeroElements(NamedTuple):

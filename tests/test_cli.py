@@ -208,6 +208,26 @@ def test_norm_check_scans_submultiplicativity_once(capsys, tmp_path, monkeypatch
         assert out["submultiplicative"]["ok"] is (expected == 0)
 
 
+def test_fuzz_scans_submultiplicativity_once_per_norm(capsys, monkeypatch):
+    # The generator's envelope verifies its own draws; the only scans left
+    # are the P2-P8 gates, one per generated norm.
+    from semnorms import cli, norms, propositions
+
+    calls = []
+    scan = norms.check_submultiplicative
+
+    def counted(s, norm):
+        calls.append(1)
+        return scan(s, norm)
+
+    for module in (norms, propositions, cli):
+        monkeypatch.setattr(module, "check_submultiplicative", counted, raising=False)
+    for pool in ("1,2,3", "1/2,1,2"):
+        calls.clear()
+        code, out = run_json(capsys, "fuzz", "t3", "--count", "5", "--pool", pool)
+        assert (code, out["generated"], len(calls)) == (0, 5, 5)
+
+
 def test_norm_check_huge_value_is_a_parse_error(capsys, tmp_path):
     norm = tmp_path / "huge.txt"
     norm.write_text("1\n1e5000\n")

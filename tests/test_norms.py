@@ -12,6 +12,7 @@ Frozen envelope oracles, derived by hand:
 """
 
 import itertools
+import random
 import time
 from fractions import Fraction
 
@@ -213,8 +214,6 @@ def test_envelope_fixes_nothing_on_valid_input():
 def test_envelope_result_properties():
     # Submultiplicative, dominated by the input, and idempotent as an
     # operator, across a deterministic spread of inputs.
-    import random
-
     rng = random.Random(11)
     pool = (Fraction(0), HALF, Fraction(1), Fraction(2), Fraction(3))
     for name in ("z2", "c4", "t2", "null4", "leftzero3"):
@@ -276,6 +275,28 @@ def test_generator_outputs_are_all_valid():
         assert batch.requested == 20
         for norm in batch.norms:
             assert check_submultiplicative(s, norm).ok
+
+
+def test_generator_yields_the_envelope_of_each_raw_draw():
+    # The raw draws rebuilt from the seed: one choice per element, in
+    # element order.  A draw is repaired exactly when a Fraction check
+    # finds it not submultiplicative.
+    def submultiplicative(s, values):
+        return all(
+            values[s.table[a][b]] <= values[a] * values[b]
+            for a in s.elements()
+            for b in s.elements()
+        )
+
+    pools = ((0, HALF, 1, 2), (HALF, 1, 2), (1, 2, 3), (Fraction(99, 100), 1, Fraction(101, 100)))
+    for name in ("z2", "s3", "t2", "t3", "leftzero3", "null4"):
+        s = builtin_semigroup(name)
+        for pool in pools:
+            batch = random_submultiplicative_norms(s, 8, seed=11, value_pool=pool)
+            rng = random.Random(11)
+            raws = [[rng.choice(pool) for _ in s.elements()] for _ in range(8)]
+            assert batch.norms == tuple(submultiplicative_envelope(s, raw) for raw in raws)
+            assert batch.repaired == sum(not submultiplicative(s, raw) for raw in raws)
 
 
 def test_repair_mode_counts_repairs():

@@ -1,15 +1,17 @@
 """Independent oracles for the fast kernels.
 
 Each kernel under test takes a shortcut: Light's associativity test in
-``validate``, integer cross-multiplication in ``check_submultiplicative``,
-the bounded integer rounds of ``submultiplicative_envelope``, the
-quadratic lower sets of ``natural_order``, the Cayley-graph components
-of ``green_structure``, the single gate of ``run_suite``, the integer Laplace program of ``compound``, the integer
-products of ``mat_mul``, the Bareiss elimination of ``rank`` and ``det``,
-the integer pseudoinverse, and the split-based tokenizer and the
-table-entry lookup of the text parsers.  The references here are written from the definitions alone,
-or are sympy's, and share no code with those kernels; hypothesis draws
-the inputs.
+``validate``, integer cross-multiplication in
+``check_submultiplicative``, the bounded integer rounds of
+``submultiplicative_envelope``, the quadratic lower sets of
+``natural_order``, the Cayley-graph components of ``green_structure``,
+the single gate of ``run_suite``, the stored inverse sets of P5 and the
+least violating pair of P8, the integer Laplace program of ``compound``,
+the integer products of ``mat_mul``, the Bareiss elimination of ``rank``
+and ``det``, the integer pseudoinverse, and the split-based tokenizer
+and the table-entry lookup of the text parsers.  The references here are
+written from the definitions alone, or are sympy's, and share no code
+with those kernels; hypothesis draws the inputs.
 """
 
 import itertools
@@ -25,6 +27,7 @@ from semnorms import (
     BUILTIN_SEMIGROUPS,
     FAIL,
     INAPPLICABLE,
+    PASS,
     FiniteSemigroup,
     NormTable,
     ParseError,
@@ -549,6 +552,48 @@ def test_run_suite_equals_separate_checkers(table, seed, pool):
 def test_run_suite_equals_separate_checkers_on_raw_values(case):
     table, values = case
     assert_suite_is_gated_raw_scans(FiniteSemigroup(table), values)
+
+
+# P5 and P8 against the laws read literally: inverses by brute force, the
+# order by ``natural_leq`` over all pairs, and the first violation in
+# sorted order as the witness.  The raw scans take any values, so FAILs
+# occur.
+
+
+def reference_inverse_lower_bound(s, values):
+    t = s.table
+    for a in s.elements():
+        for b in s.elements():
+            inverse = t[t[a][b]][a] == a and t[t[b][a]][b] == b
+            if inverse and values[a] != 0 and values[b] < 1 / values[a]:
+                return FAIL, (a, b, values[a], values[b])
+    return PASS, None
+
+
+def reference_order_zero_downward(s, values):
+    for a in s.elements():
+        for b in s.elements():
+            if natural_leq(s, a, b) and values[b] == 0 and values[a] != 0:
+                return FAIL, (a, b, values[a])
+    return PASS, None
+
+
+@settings(max_examples=80, deadline=None)
+@given(tables_with_values())
+@example(([[0, 1], [1, 0]], [1, Fraction(1, 2)]))
+@example(([[0] * 4] * 4, [1, 0, 0, 0]))
+@example(([[0, 0, 3, 3], [0, 1, 2, 3], [0, 2, 1, 3], [0, 3, 0, 3]], [1, 0, 0, 2]))
+@example(([[0, 0, 3, 3], [0, 1, 2, 3], [0, 2, 1, 3], [0, 3, 0, 3]], [1, 2, 1, 0]))
+def test_inverse_and_order_scans_equal_the_definitions(case):
+    table, values = case
+    s = FiniteSemigroup(table)
+    norm = NormTable(values)
+    for scan, reference in (
+        (_scan_inverse_lower_bound, reference_inverse_lower_bound),
+        (_scan_order_zero_downward, reference_order_zero_downward),
+    ):
+        verdict = scan(s, norm)
+        assert (verdict.status, verdict.witness) == reference(s, norm.values)
 
 
 

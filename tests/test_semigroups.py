@@ -32,6 +32,7 @@ from semnorms import (
     validate,
     zero_elements,
 )
+from semnorms.semigroups import inverse_sets
 
 # Self-maps of {0, 1} in lexicographic order: 0 = const 0, 1 = identity,
 # 2 = swap, 3 = const 1, composed left to right.
@@ -175,6 +176,7 @@ DERIVED_QUERIES = (
     idempotents,
     zero_elements,
     is_regular,
+    inverse_sets,
     FiniteSemigroup.identity,
 )
 
