@@ -6,9 +6,7 @@ import only the modules it calls into: ``from semnorms import
 minor_norm`` loads ``matrices`` and no semigroup code.
 """
 
-import sys
 from importlib import import_module
-from types import ModuleType
 
 __version__ = "0.1.0"
 
@@ -66,7 +64,7 @@ _EXPORTS = {
                 "witness_sequence",
             ),
         ),
-        ("natural_order", ("OrderRelation", "natural_leq", "natural_order")),
+        ("order", ("OrderRelation", "natural_leq", "natural_order")),
         (
             "norms",
             (
@@ -130,22 +128,3 @@ def __getattr__(name):
 
 def __dir__():
     return sorted(set(globals()) | set(__all__))
-
-
-class _Package(ModuleType):
-    """The package, which keeps a public name when a submodule of the same
-    name is imported.
-
-    Importing ``semnorms.natural_order`` binds that submodule on the
-    package, and would hide the function ``natural_order`` from then on.
-    A submodule bound under a public name it defines itself is replaced by
-    that name's value.
-    """
-
-    def __setattr__(self, name, value):
-        if isinstance(value, ModuleType) and _EXPORTS.get(name) == name:
-            value = getattr(value, name)
-        super().__setattr__(name, value)
-
-
-sys.modules[__name__].__class__ = _Package

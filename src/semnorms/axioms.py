@@ -23,10 +23,11 @@ zero-normalization axiom: the two-sided zero element under
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from typing import NamedTuple
 
 from .errors import NOTATIONS, exact_text
-from .norms import NormTable, _coerce, _numerators_denominators
+from .norms import _coerce, _numerators_denominators
 from .semigroups import FiniteSemigroup, zero_elements
 
 HOLDS = "holds"
@@ -72,48 +73,104 @@ class AxiomReport(NamedTuple):
         }
 
 
+# A check decides one axiom from the table: (status, witness, note).
 # The two pair scans compare integers: with v[x] = p[x]/q[x] and every
 # q[x] > 0, multiplying through by q[ab]*q[a]*q[b] > 0 is exact (see
 # norms.check_submultiplicative).  The Fraction witness is built only on
 # the first hit in row-major order.
 
 
-def _multiplicativity(s, v):
+def _multiplicativity(s, v, notation, power_bound):
     num, den = _numerators_denominators(v)
     for a, row in enumerate(s.table):
         pa, qa = num[a], den[a]
         for b, ab in enumerate(row):
             if num[ab] * qa * den[b] != pa * num[b] * den[ab]:
-                return (a, b, v[ab], v[a] * v[b])
-    return None
+                return FAILS, (a, b, v[ab], v[a] * v[b]), ""
+    return HOLDS, None, ""
 
 
-def _subadditivity(s, v):
+def _subadditivity(s, v, notation, power_bound):
     num, den = _numerators_denominators(v)
     for a, row in enumerate(s.table):
         pa, qa = num[a], den[a]
         for b, ab in enumerate(row):
             qb = den[b]
             if num[ab] * qa * qb > (pa * qb + num[b] * qa) * den[ab]:
-                return (a, b, v[ab], v[a] + v[b])
-    return None
+                return FAILS, (a, b, v[ab], v[a] + v[b]), ""
+    return HOLDS, None, ""
 
 
-def _power_homogeneity(s, v, bound):
-    """value(a^n) == n * value(a) for n = 1..bound, via repeated products."""
+def _at_identity(wanted, missing, s, v, notation, power_bound):
+    """v at the identity equals ``wanted``, or inapplicable for ``missing``."""
+    e = s.identity()
+    if e is None:
+        return INAPPLICABLE, None, missing
+    return (HOLDS, None, "") if v[e] == wanted else (FAILS, (e, v[e]), "")
+
+
+def _power_homogeneity(s, v, notation, power_bound):
+    """value(a^n) == n * value(a) for n = 1..power_bound, via repeated products."""
+    note = f"checked for exponents up to {power_bound}"
     for a in s.elements():
         power = a
-        for n in range(2, bound + 1):
+        for n in range(2, power_bound + 1):
             power = s.table[power][a]
             if v[power] != n * v[a]:
-                return (a, n, v[power], n * v[a])
-    return None
+                return FAILS, (a, n, v[power], n * v[a]), note
+    return HOLDS, None, note
 
 
-def _checked(definition, axiom, witness, note=""):
-    if witness is None:
-        return AxiomVerdict(definition, axiom, HOLDS, note=note)
-    return AxiomVerdict(definition, axiom, FAILS, witness=witness, note=note)
+def _zero_normalization(s, v, notation, power_bound):
+    """Value zero exactly at the element written 0."""
+    if notation == "additive":
+        special, missing = s.identity(), "no neutral element in the table"
+    else:
+        special = next(iter(zero_elements(s).two_sided), None)
+        missing = "no two-sided zero element in the table"
+    if special is None:
+        return INAPPLICABLE, None, missing
+    note = "value zero exactly at the element written 0"
+    for a in s.elements():
+        if (v[a] == 0) != (a == special):
+            return FAILS, (a, v[a], special), note
+    return HOLDS, None, note
+
+
+_CHECKS = {
+    "multiplicativity": _multiplicativity,
+    "subadditivity": _subadditivity,
+    "identity_norm_one": partial(_at_identity, 1, "no two-sided identity in the table"),
+    "identity_norm_zero": partial(_at_identity, 0, "the monoid-norm axiom needs an identity"),
+    "power_homogeneity": _power_homogeneity,
+    "zero_normalization": _zero_normalization,
+}
+
+# The axioms of the six definitions, in report order.  One that a finite
+# table cannot decide carries its status and the reason as data; any
+# other is decided by the check of its name, once per call however many
+# definitions share it.
+_AXIOMS = (
+    ("wegmann", "multiplicativity"),
+    ("wegmann", "generator_norms_exceed_one", NOT_FINITELY_CHECKABLE,
+     "quantifies over a distinguished generator system"),
+    ("wegmann", "generator_norms_diverge", NOT_FINITELY_CHECKABLE,
+     "a limit over an infinite generator sequence"),
+    ("kryzius", "multiplicativity"),
+    ("kryzius", "identity_norm_one"),
+    ("kryzius", "sublevel_sets_finite", NOT_FINITELY_CHECKABLE,
+     "finiteness of sublevel sets constrains infinite carriers only"),
+    ("dikran", "subadditivity"),
+    ("dikran", "identity_norm_zero"),
+    ("pavlov", "complex_module_norm", NOT_FINITELY_CHECKABLE,
+     "needs a scalar action that a Cayley table does not carry"),
+    ("shkarin", "power_homogeneity"),
+    ("shkarin", "subadditivity"),
+    ("valero", "zero_characterization_via_negatives", AMBIGUOUS,
+     "the original statement does not pin down one finite reading"),
+    ("valero", "subadditivity"),
+    ("valero", "zero_normalization"),
+)
 
 
 def classify_literature_axioms(
@@ -127,112 +184,15 @@ def classify_literature_axioms(
         raise ValueError(f"notation must be one of {NOTATIONS}, got {notation!r}")
     if power_bound < 1:
         raise ValueError("power_bound must be at least 1")
-    norm = _coerce(s, values)
-    v = norm.values
-    identity = s.identity()
-    two_sided_zero = next(iter(zero_elements(s).two_sided), None)
-
-    mult_witness = _multiplicativity(s, v)
-    subadd_witness = _subadditivity(s, v)
-
-    entries = [
-        _checked("wegmann", "multiplicativity", mult_witness),
-        AxiomVerdict(
-            "wegmann",
-            "generator_norms_exceed_one",
-            NOT_FINITELY_CHECKABLE,
-            note="quantifies over a distinguished generator system",
-        ),
-        AxiomVerdict(
-            "wegmann",
-            "generator_norms_diverge",
-            NOT_FINITELY_CHECKABLE,
-            note="a limit over an infinite generator sequence",
-        ),
-        _checked("kryzius", "multiplicativity", mult_witness),
-    ]
-
-    if identity is None:
-        entries.append(
-            AxiomVerdict(
-                "kryzius",
-                "identity_norm_one",
-                INAPPLICABLE,
-                note="no two-sided identity in the table",
-            )
-        )
-    else:
-        witness = None if v[identity] == 1 else (identity, v[identity])
-        entries.append(_checked("kryzius", "identity_norm_one", witness))
-    entries.append(
-        AxiomVerdict(
-            "kryzius",
-            "sublevel_sets_finite",
-            NOT_FINITELY_CHECKABLE,
-            note="finiteness of sublevel sets constrains infinite carriers only",
-        )
-    )
-
-    entries.append(_checked("dikran", "subadditivity", subadd_witness))
-    if identity is None:
-        entries.append(
-            AxiomVerdict(
-                "dikran",
-                "identity_norm_zero",
-                INAPPLICABLE,
-                note="the monoid-norm axiom needs an identity",
-            )
-        )
-    else:
-        witness = None if v[identity] == 0 else (identity, v[identity])
-        entries.append(_checked("dikran", "identity_norm_zero", witness))
-
-    entries.append(
-        AxiomVerdict(
-            "pavlov",
-            "complex_module_norm",
-            NOT_FINITELY_CHECKABLE,
-            note="needs a scalar action that a Cayley table does not carry",
-        )
-    )
-
-    entries.append(
-        _checked(
-            "shkarin",
-            "power_homogeneity",
-            _power_homogeneity(s, v, power_bound),
-            note=f"checked for exponents up to {power_bound}",
-        )
-    )
-    entries.append(_checked("shkarin", "subadditivity", subadd_witness))
-
-    entries.append(
-        AxiomVerdict(
-            "valero",
-            "zero_characterization_via_negatives",
-            AMBIGUOUS,
-            note="the original statement does not pin down one finite reading",
-        )
-    )
-    entries.append(_checked("valero", "subadditivity", subadd_witness))
-    if notation == "additive":
-        special, missing = identity, "no neutral element in the table"
-    else:
-        special, missing = two_sided_zero, "no two-sided zero element in the table"
-    if special is None:
-        entries.append(
-            AxiomVerdict("valero", "zero_normalization", INAPPLICABLE, note=missing)
-        )
-    else:
-        bad = [a for a in s.elements() if (v[a] == 0) != (a == special)]
-        witness = None if not bad else (bad[0], v[bad[0]], special)
-        entries.append(
-            _checked(
-                "valero",
-                "zero_normalization",
-                witness,
-                note="value zero exactly at the element written 0",
-            )
-        )
-
+    v = _coerce(s, values).values
+    decided = {}
+    entries = []
+    for definition, axiom, *fixed in _AXIOMS:
+        if fixed:
+            status, note = fixed
+            entries.append(AxiomVerdict(definition, axiom, status, note=note))
+            continue
+        if axiom not in decided:
+            decided[axiom] = _CHECKS[axiom](s, v, notation, power_bound)
+        entries.append(AxiomVerdict(definition, axiom, *decided[axiom]))
     return AxiomReport(notation, tuple(entries))

@@ -74,7 +74,7 @@ def cmd_validate(args) -> int:
 
 def cmd_analyze(args) -> int:
     from .green import green_structure
-    from .natural_order import natural_order
+    from .order import natural_order
     from .semigroups import idempotents, inverse_set, is_regular, zero_elements
 
     s = _load_semigroup(args.input)
@@ -205,12 +205,15 @@ def cmd_witness(args) -> int:
 
 
 def _render_text(report: dict) -> str:
+    if "error" in report:
+        return _table_text(f"{report['command']}: {report['error']}", report)
     return _TEXT_RENDERERS[report["command"]](report)
 
 
-def _text_validate(r) -> str:
-    lines = [f"table {r['input']} (order {r['order']}): "
-             + ("valid" if r["valid"] else "INVALID")]
+def _table_text(heading: str, r) -> str:
+    """``heading``, then one line for each thing a validation report finds
+    wrong with a table."""
+    lines = [heading]
     for msg in r["structural"]:
         lines.append(f"  structural: {msg}")
     for e in r["out_of_range"]:
@@ -218,6 +221,11 @@ def _text_validate(r) -> str:
     for t in r["non_associative"]:
         lines.append(f"  associativity fails at ({t['i']}, {t['j']}, {t['k']})")
     return "\n".join(lines)
+
+
+def _text_validate(r) -> str:
+    verdict = "valid" if r["valid"] else "INVALID"
+    return _table_text(f"table {r['input']} (order {r['order']}): {verdict}", r)
 
 
 def _text_analyze(r) -> str:
@@ -398,7 +406,7 @@ def main(argv=None) -> int:
     except InvalidSemigroupError as exc:
         report = {"command": args.command, "error": "invalid semigroup"}
         report.update(exc.report.to_jsonable())
-        print(json.dumps(report, indent=2, sort_keys=True))
+        _emit(report, args.format)
         return 1
     except (SemnormsError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,5 +1,6 @@
-"""Shared exception types, the tokenizer the three text formats share,
-and the two input vocabularies the command line offers.
+"""Shared exception types, the immutable base of the value classes, the
+tokenizer the three text formats share, and the two input vocabularies
+the command line offers.
 
 This module imports nothing heavier than ``fractions``, so the command
 line can build its argument parser before it loads any kernel.
@@ -50,6 +51,27 @@ class NormDomainError(SemnormsError):
 
 class NormConstructionError(SemnormsError):
     """A built-in norm family produced a table that failed its own guard."""
+
+
+class Immutable:
+    """Base of a ``__slots__`` value class whose fields are set once, by
+    ``object.__setattr__`` in its ``__init__``.  Each subclass defines
+    ``_key()``: two instances of one class are equal when their keys are,
+    and an instance hashes as its key."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 def printable_count(n: int) -> str:

@@ -25,10 +25,10 @@ from fractions import Fraction
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import ParseError, Tokens, printable_count, rational
+from .errors import Immutable, ParseError, Tokens, printable_count, rational
 
 
-class RatMatrix:
+class RatMatrix(Immutable):
     """Immutable row-major matrix of exact rationals, equal and hashed by
     its shape and entries."""
 
@@ -48,19 +48,8 @@ class RatMatrix:
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "entries", entries)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("RatMatrix is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("RatMatrix is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, RatMatrix) and (
-            (self.rows, self.cols, self.entries) == (other.rows, other.cols, other.entries)
-        )
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
+    def _key(self):
+        return self.rows, self.cols, self.entries
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "RatMatrix":
@@ -370,7 +359,7 @@ def _laplace_level(level: dict, grid: list, cols: int, j: int, last: int) -> dic
     return grown
 
 
-class MinorNormParams:
+class MinorNormParams(Immutable):
     """Order of the ambient matrices and the minor size, 0 < k <= n."""
 
     __slots__ = ("n", "k")
@@ -385,17 +374,8 @@ class MinorNormParams:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "k", k)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("MinorNormParams is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("MinorNormParams is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, MinorNormParams) and (self.n, self.k) == (other.n, other.k)
-
-    def __hash__(self):
-        return hash((self.n, self.k))
+    def _key(self):
+        return self.n, self.k
 
     def __repr__(self) -> str:
         return f"MinorNormParams(n={self.n!r}, k={self.k!r})"

@@ -14,6 +14,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
     DEFAULT_VALUE_POOL,
+    Immutable,
     NormConstructionError,
     NormDomainError,
     ParseError,
@@ -25,7 +26,7 @@ from .semigroups import FiniteSemigroup, idempotents
 NORM_FAMILIES = ("zero", "one", "abs", "exp", "exp_abs")
 
 
-class NormTable:
+class NormTable(Immutable):
     """Immutable tuple of nonnegative exact rationals, one per element."""
 
     __slots__ = ("values",)
@@ -37,11 +38,8 @@ class NormTable:
                 raise NormDomainError(f"norm value at element {i} is negative: {v}")
         object.__setattr__(self, "values", vals)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("NormTable is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("NormTable is immutable")
+    def _key(self):
+        return self.values
 
     def __len__(self):
         return len(self.values)
@@ -51,12 +49,6 @@ class NormTable:
 
     def __iter__(self):
         return iter(self.values)
-
-    def __eq__(self, other):
-        return isinstance(other, NormTable) and self.values == other.values
-
-    def __hash__(self):
-        return hash(self.values)
 
     def __repr__(self):
         return f"NormTable({[str(v) for v in self.values]})"

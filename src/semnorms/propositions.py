@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .green import green_structure
-from .natural_order import natural_order
+from .order import natural_order
 from .norms import _coerce, check_submultiplicative, zero_set
 from .semigroups import (
     FiniteSemigroup,

@@ -13,7 +13,14 @@ from functools import wraps
 from operator import itemgetter
 from typing import NamedTuple, Sequence
 
-from .errors import InvalidSemigroupError, ParseError, Tokens, printable_count, rational
+from .errors import (
+    Immutable,
+    InvalidSemigroupError,
+    ParseError,
+    Tokens,
+    printable_count,
+    rational,
+)
 
 
 class ValidationReport(NamedTuple):
@@ -205,7 +212,7 @@ def derived(fn):
     return once
 
 
-class FiniteSemigroup:
+class FiniteSemigroup(Immutable):
     """An immutable finite semigroup, equal and hashed by its table and
     labels.
 
@@ -240,21 +247,8 @@ class FiniteSemigroup:
         object.__setattr__(self, "generators", generators)
         object.__setattr__(self, "_derived", {})
 
-    def __setattr__(self, name, value):
-        raise AttributeError("FiniteSemigroup is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("FiniteSemigroup is immutable")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FiniteSemigroup)
-            and self.table == other.table
-            and self.labels == other.labels
-        )
-
-    def __hash__(self):
-        return hash((self.table, self.labels))
+    def _key(self):
+        return self.table, self.labels
 
     @property
     def order(self) -> int:

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from semnorms import builtin_semigroup, classify_literature_axioms
+from semnorms import axioms, builtin_semigroup, classify_literature_axioms
 from semnorms.axioms import (
     AMBIGUOUS,
     FAILS,
@@ -132,6 +132,19 @@ def test_power_homogeneity_trivial_cases():
     entry = report.find("shkarin", "power_homogeneity")
     assert entry.status == HOLDS
     assert "up to 1" in entry.note
+
+
+def test_each_pair_scan_runs_once_per_call(monkeypatch):
+    # Multiplicativity is cited twice and subadditivity three times; each
+    # pair scan starts by splitting the values into numerators and
+    # denominators, so two splits mean two scans.
+    splits = []
+    split = axioms._numerators_denominators
+    monkeypatch.setattr(
+        axioms, "_numerators_denominators", lambda v: splits.append(v) or split(v)
+    )
+    classify_literature_axioms(builtin_semigroup("t3"), [1] * 27)
+    assert len(splits) == 2
 
 
 def test_parameter_validation():

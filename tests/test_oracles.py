@@ -6,7 +6,8 @@ Each kernel under test takes a shortcut: Light's associativity test in
 ``submultiplicative_envelope``, the quadratic lower sets of
 ``natural_order``, the Cayley-graph components of ``green_structure``,
 the single gate of ``run_suite``, the stored inverse sets of P5 and the
-least violating pair of P8, the integer Laplace program of ``compound``,
+least violating pair of P8, the integer pair scans of
+``classify_literature_axioms``, the integer Laplace program of ``compound``,
 the integer products of ``mat_mul``, the Bareiss elimination of ``rank``
 and ``det``, the integer pseudoinverse, and the split-based tokenizer
 and the table-entry lookup of the text parsers.  The references here are
@@ -34,6 +35,7 @@ from semnorms import (
     RatMatrix,
     builtin_semigroup,
     check_submultiplicative,
+    classify_literature_axioms,
     compound,
     det,
     full_transformation_monoid,
@@ -594,6 +596,139 @@ def test_inverse_and_order_scans_equal_the_definitions(case):
     ):
         verdict = scan(s, norm)
         assert (verdict.status, verdict.witness) == reference(s, norm.values)
+
+
+
+# ---------------------------------------------------------------------------
+# classify_literature_axioms: each finitely checkable axiom read from its
+# definition in Fraction arithmetic, the identity and the two-sided zero
+# found by brute force, and the first violation in row-major order as the
+# witness.  The classifier's pair scans compare cross-multiplied integers.
+
+NOT_CHECKABLE = "not_finitely_checkable"
+
+
+def brute_identity(table):
+    n = len(table)
+    for e in range(n):
+        if all(table[e][x] == x == table[x][e] for x in range(n)):
+            return e
+    return None
+
+
+def brute_two_sided_zero(table):
+    n = len(table)
+    for z in range(n):
+        if all(table[z][x] == z == table[x][z] for x in range(n)):
+            return z
+    return None
+
+
+def first_pair_violation(table, values, combine, violated):
+    for a, row in enumerate(table):
+        for b, ab in enumerate(row):
+            bound = combine(values[a], values[b])
+            if violated(values[ab], bound):
+                return (a, b, values[ab], bound)
+    return None
+
+
+def brute_power(table, a, n):
+    power = a
+    for _ in range(n - 1):
+        power = table[power][a]
+    return power
+
+
+def reference_axioms(table, values, notation, power_bound):
+    """(definition, axiom, status, witness, note) for the 14 axioms of the
+    six definitions, in report order."""
+    n = len(table)
+    v = [Fraction(x) for x in values]
+
+    def decided(witness, note=""):
+        return ("holds", None, note) if witness is None else ("fails", witness, note)
+
+    def at_identity(wanted, missing):
+        e = brute_identity(table)
+        if e is None:
+            return "inapplicable", None, missing
+        return decided(None if v[e] == wanted else (e, v[e]))
+
+    multiplicative = decided(
+        first_pair_violation(table, v, lambda x, y: x * y, lambda xy, b: xy != b)
+    )
+    subadditive = decided(
+        first_pair_violation(table, v, lambda x, y: x + y, lambda xy, b: xy > b)
+    )
+    power = next(
+        (
+            (a, k, v[brute_power(table, a, k)], k * v[a])
+            for a in range(n)
+            for k in range(2, power_bound + 1)
+            if v[brute_power(table, a, k)] != k * v[a]
+        ),
+        None,
+    )
+    if notation == "additive":
+        special, missing = brute_identity(table), "no neutral element in the table"
+    else:
+        special, missing = brute_two_sided_zero(table), "no two-sided zero element in the table"
+    if special is None:
+        zero_normalization = ("inapplicable", None, missing)
+    else:
+        bad = next((a for a in range(n) if (v[a] == 0) != (a == special)), None)
+        zero_normalization = decided(
+            None if bad is None else (bad, v[bad], special),
+            "value zero exactly at the element written 0",
+        )
+    rows = [
+        ("wegmann", "multiplicativity", multiplicative),
+        ("wegmann", "generator_norms_exceed_one", (
+            NOT_CHECKABLE, None, "quantifies over a distinguished generator system")),
+        ("wegmann", "generator_norms_diverge", (
+            NOT_CHECKABLE, None, "a limit over an infinite generator sequence")),
+        ("kryzius", "multiplicativity", multiplicative),
+        ("kryzius", "identity_norm_one", at_identity(1, "no two-sided identity in the table")),
+        ("kryzius", "sublevel_sets_finite", (
+            NOT_CHECKABLE, None,
+            "finiteness of sublevel sets constrains infinite carriers only")),
+        ("dikran", "subadditivity", subadditive),
+        ("dikran", "identity_norm_zero", at_identity(0, "the monoid-norm axiom needs an identity")),
+        ("pavlov", "complex_module_norm", (
+            NOT_CHECKABLE, None, "needs a scalar action that a Cayley table does not carry")),
+        ("shkarin", "power_homogeneity",
+         decided(power, f"checked for exponents up to {power_bound}")),
+        ("shkarin", "subadditivity", subadditive),
+        ("valero", "zero_characterization_via_negatives", (
+            "ambiguous", None, "the original statement does not pin down one finite reading")),
+        ("valero", "subadditivity", subadditive),
+        ("valero", "zero_normalization", zero_normalization),
+    ]
+    return [(definition, axiom, *verdict) for definition, axiom, verdict in rows]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    tables_with_values(),
+    st.sampled_from(("multiplicative", "additive")),
+    st.integers(1, 5),
+)
+@example(([[0]], [0]), "multiplicative", 5)
+@example(([[0]], [1]), "additive", 1)
+@example(([[0, 1], [1, 0]], [0, 0]), "additive", 3)
+@example(([[0, 1], [1, 0]], [1, 1]), "multiplicative", 2)
+@example(([[0] * 4] * 4, [0, 1, 1, 1]), "multiplicative", 4)
+@example(([[0] * 4] * 4, [0, 0, 0, 0]), "additive", 5)
+@example(([[0, 0, 3, 3], [0, 1, 2, 3], [0, 2, 1, 3], [0, 3, 0, 3]], [0, 1, 1, 0]), "additive", 2)
+def test_literature_axioms_equal_the_definitions(case, notation, power_bound):
+    table, values = case
+    report = classify_literature_axioms(
+        FiniteSemigroup(table), values, notation=notation, power_bound=power_bound
+    )
+    assert report.notation == notation
+    got = [(e.definition, e.axiom, e.status, e.witness, e.note) for e in report.entries]
+    assert got == reference_axioms(table, values, notation, power_bound)
 
 
 
