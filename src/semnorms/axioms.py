@@ -22,12 +22,13 @@ zero-normalization axiom: the two-sided zero element under
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import partial
 from typing import NamedTuple
 
 from .errors import NOTATIONS, exact_text
-from .norms import _coerce, _numerators_denominators
+from .norms import _coerce, _numerators_denominators, _rows_to_scan
 from .semigroups import FiniteSemigroup, zero_elements
 
 HOLDS = "holds"
@@ -76,15 +77,26 @@ class AxiomReport(NamedTuple):
 # A check decides one axiom from the table: (status, witness, note).
 # The two pair scans compare integers: with v[x] = p[x]/q[x] and every
 # q[x] > 0, multiplying through by q[ab]*q[a]*q[b] > 0 is exact (see
-# norms.check_submultiplicative).  The Fraction witness is built only on
-# the first hit in row-major order.
+# norms.check_submultiplicative).  Like that check, they read only the
+# rows that norms._rows_to_scan leaves them, given the classes that
+# satisfy the axiom at each pair of value classes, and build the Fraction
+# witness only on the first hit in row-major order.
+
+
+def _equal_to_product(bounds, unit, sx, sy):
+    z = sx * sy
+    return range(bisect_left(bounds, z), bisect_right(bounds, z))
+
+
+def _at_most_sum(bounds, unit, sx, sy):
+    return range(bisect_right(bounds, (sx + sy) * unit))
 
 
 def _multiplicativity(s, v, notation, power_bound):
     num, den = _numerators_denominators(v)
-    for a, row in enumerate(s.table):
+    for a in _rows_to_scan(s.table, num, den, _equal_to_product):
         pa, qa = num[a], den[a]
-        for b, ab in enumerate(row):
+        for b, ab in enumerate(s.table[a]):
             if num[ab] * qa * den[b] != pa * num[b] * den[ab]:
                 return FAILS, (a, b, v[ab], v[a] * v[b]), ""
     return HOLDS, None, ""
@@ -92,9 +104,9 @@ def _multiplicativity(s, v, notation, power_bound):
 
 def _subadditivity(s, v, notation, power_bound):
     num, den = _numerators_denominators(v)
-    for a, row in enumerate(s.table):
+    for a in _rows_to_scan(s.table, num, den, _at_most_sum):
         pa, qa = num[a], den[a]
-        for b, ab in enumerate(row):
+        for b, ab in enumerate(s.table[a]):
             qb = den[b]
             if num[ab] * qa * qb > (pa * qb + num[b] * qa) * den[ab]:
                 return FAILS, (a, b, v[ab], v[a] + v[b]), ""

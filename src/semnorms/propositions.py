@@ -67,7 +67,8 @@ def _scan_idempotent_dichotomy(s, norm):
 def _scan_zero_set_closed(s, norm):
     zeros = zero_set(s, norm)
     v = norm.values
-    ordered = sorted(zeros)
+    # When every value is 0 the zero set is S, which holds every product.
+    ordered = sorted(zeros) if len(zeros) < s.order else ()
     for a in ordered:
         for b in ordered:
             ab = s.table[a][b]
@@ -81,8 +82,16 @@ def _scan_zero_set_closed(s, norm):
     return PropositionVerdict("P3", PASS, detail=detail)
 
 
+def _mixed(v) -> bool:
+    """Whether ``v`` holds a zero and a nonzero value."""
+    return not all(v) and any(v)
+
+
 def _scan_zero_spreads_over_d_class(s, norm):
     v = norm.values
+    # A class holding a zero and a nonzero value needs both in the table.
+    if not _mixed(v):
+        return PropositionVerdict("P4", PASS)
     for part in green_structure(s).d_classes:
         block = sorted(part)
         zeros = [a for a in block if v[a] == 0]
@@ -100,6 +109,9 @@ def _scan_zero_spreads_over_d_class(s, norm):
 
 def _scan_inverse_lower_bound(s, norm):
     v = norm.values
+    # No nonzero value(a) to bound from; or value(b) >= 1 >= 1/value(a).
+    if not any(v) or min(v) >= 1:
+        return PropositionVerdict("P5", PASS)
     for a, inverses in enumerate(inverse_sets(s)):
         if v[a] == 0:
             continue
@@ -144,6 +156,9 @@ def _scan_zero_element_bound(s, norm):
 def _scan_order_zero_downward(s, norm):
     # The least violating pair is the one a scan in sorted order meets first.
     v = norm.values
+    # A violation pairs a zero value(b) with a nonzero value(a).
+    if not _mixed(v):
+        return PropositionVerdict("P8", PASS)
     violations = [(a, b) for a, b in natural_order(s).pairs if v[b] == 0 and v[a] != 0]
     if violations:
         a, b = min(violations)

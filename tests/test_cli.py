@@ -24,7 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semnorms import full_transformation_monoid
+from semnorms import full_transformation_monoid, random_submultiplicative_norms
 from semnorms.cli import main
 
 
@@ -244,6 +244,21 @@ def test_fuzz_scans_submultiplicativity_once_per_norm(capsys, monkeypatch):
         assert (code, out["generated"], len(calls)) == (0, 5, 5)
 
 
+def test_fuzz_derives_only_the_structure_its_laws_need(capsys):
+    # Every envelope of this pool on t3 is constant, and on a constant
+    # table P3, P4, P5 and P8 are decided without Green classes, inverse
+    # sets or the natural order.
+    from semnorms import builtin_semigroup, green_structure, natural_order
+    from semnorms.semigroups import inverse_sets
+
+    s = builtin_semigroup("t3")
+    s._derived.clear()
+    code, out = run_json(capsys, "fuzz", "t3", "--pool", "0,1/2,1,2")
+    assert (code, out["generated"]) == (0, 50)
+    kept = {fn.__name__ for fn in s._derived}
+    assert kept.isdisjoint(f.__name__ for f in (green_structure, inverse_sets, natural_order))
+
+
 def test_norm_check_huge_value_is_a_parse_error(capsys, tmp_path):
     norm = tmp_path / "huge.txt"
     norm.write_text("1\n1e5000\n")
@@ -337,6 +352,10 @@ def test_fuzz_over_the_work_budget_exits_2_at_once(capsys):
     assert "over the budget of 6250000" in err and "Traceback" not in err
 
 
+# Sixteen values in [3/2, 3): a draw from them keeps 16 to 20 distinct
+# values through its envelope on t4.
+POOL16 = ",".join(str(Fraction(3, 2) + Fraction(k, 10)) for k in range(16))
+
 # The stdout sha256 of ``fuzz`` before the envelope zeroed pumped
 # idempotents and Green classes came from Cayley graphs.  The verdict
 # counts depend on both, so a change to either that moves any verdict
@@ -348,6 +367,16 @@ FUZZ_DIGESTS = {
     ("t4.txt", "1", "0,1/2,1,2", "21"): "228cf133d9719f9e14e6d502e24ea2d630a3bf18c348e68eb95d887ad49493af",
     ("t4.txt", "1", "1/2,1,2", "22"): "3a08926f9d8f2a51e5786aa629ef178ed3c6694b3284e33a52fb445e0cd38df3",
     ("t4.txt", "1", "1,2,3", "23"): "031c8a1dedd0919aff386f401fb870596d0b0684b8ee004b727ff4f4e8a45ed8",
+    # Recorded before the envelope and the gate ran by value classes: pools
+    # near 1, with zeros, and of 16 values whose envelopes keep many values.
+    ("t3", "30", "1/3,1,3", "31"): "1c6a2323b7007add795e49b730d2457ba21a9e8a87424d2c470ad7d99f2eddda",
+    ("t4.txt", "1", "1/3,1,3", "41"): "51f26cde3bb3132c5c822235a922c022d8b4c0ad3d12e169028a60b673f52523",
+    ("t3", "30", "99/100,1,101/100", "32"): "ba162018fdf66600fb902d4570ceea3d2e1f37c9db7ac3abb9780b06e496481f",
+    ("t4.txt", "1", "99/100,1,101/100", "42"): "aa7db18267face8532a58bc2123e391f0744a6a4db3a9829a234ffee7de5eedf",
+    ("t3", "30", "0,1/3,1/2,1,3", "33"): "a961dd2727ffc4858e25e20554d43fe4d7ecde754ee6ff38d78225ac81aac4cc",
+    ("t4.txt", "1", "0,1/3,1/2,1,3", "43"): "df7497568cb016088a1a822de0e1dc61b2a746c1e516b701c8e62d1a9b53429e",
+    ("t3", "30", POOL16, "34"): "69e5d1d9f0e85774e95ddc4fbd684facb3887009f2b8373e2630fa42b5a52d89",
+    ("t4.txt", "1", POOL16, "44"): "2bd3ff6586b8404a61f6816746add0be54a470b866c49e5180fd232cd557fc9c",
 }
 
 
@@ -431,6 +460,34 @@ def test_analyze_and_norm_check_output_bytes_are_pinned(capsys, tmp_path, monkey
             code, out, err = run_cli(capsys, "norm-check", spec, norm, *options)
             assert (code, err) == (0 if norm == "one.txt" else 1, "")
             assert hashlib.sha256(out.encode()).hexdigest() == digest, (spec, norm, options)
+
+
+# ``norm-check`` on passing norms of many values, recorded before the gate
+# ran by value classes: on t4 the envelope of a draw from POOL16 (18
+# distinct values), and on a null table of order 64 the values a/3, so
+# that v(0) = 0 and every other value is distinct.
+MANY_VALUED_NORM_CHECK_DIGESTS = {
+    ("t4.txt", "env16.txt"): "2383befcbe048ea4b61bda8a9a451315b0af614d178781fe2b62828b49fb315b",
+    ("null64.txt", "thirds.txt"): "7989b7f9fee0fb96c7d14c83fee3311f5ddc5cd93683bcac953aa4a548bad0f5",
+}
+
+
+def test_norm_check_on_many_valued_norms_is_pinned(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    t4 = full_transformation_monoid(4)
+    pool = [Fraction(v) for v in POOL16.split(",")]
+    cases = {
+        "t4.txt": (t4.table, random_submultiplicative_norms(t4, 1, seed=51, value_pool=pool).norms[0]),
+        "null64.txt": ([[0] * 64] * 64, [Fraction(a, 3) for a in range(64)]),
+    }
+    for (spec, norm), digest in MANY_VALUED_NORM_CHECK_DIGESTS.items():
+        table, values = cases[spec]
+        rows = "".join(" ".join(map(str, row)) + "\n" for row in table)
+        (tmp_path / spec).write_text(f"{len(table)}\n{rows}")
+        (tmp_path / norm).write_text("".join(f"{v}\n" for v in values))
+        code, out, err = run_cli(capsys, "norm-check", spec, norm)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, spec
 
 
 # ---------------------------------------------------------------------------

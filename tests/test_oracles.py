@@ -1,13 +1,14 @@
 """Independent oracles for the fast kernels.
 
 Each kernel under test takes a shortcut: Light's associativity test in
-``validate``, integer cross-multiplication in
+``validate``, integer cross-multiplication and value classes in
 ``check_submultiplicative``, the bounded integer rounds of
-``submultiplicative_envelope``, the quadratic lower sets of
-``natural_order``, the Cayley-graph components of ``green_structure``,
-the single gate of ``run_suite``, the stored inverse sets of P5 and the
-least violating pair of P8, the integer pair scans of
-``classify_literature_axioms``, the integer Laplace program of ``compound``,
+``submultiplicative_envelope``, by pairs or by value classes, the lower
+sets of ``natural_order`` read off the idempotents, the Cayley-graph
+components of ``green_structure``, the single gate of ``run_suite``, the
+stored inverse sets of P5, the least violating pair of P8 and the laws
+P3-P8 decided on all-zero or zero-free norms without derived structure,
+the integer pair scans of ``classify_literature_axioms``, the integer Laplace program of ``compound``,
 the integer products of ``mat_mul``, the Bareiss elimination of ``rank``
 and ``det``, the integer pseudoinverse, and the split-based tokenizer
 and the table-entry lookup of the text parsers.  The references here are
@@ -16,6 +17,7 @@ with those kernels; hypothesis draws the inputs.
 """
 
 import itertools
+import random
 import re
 import sys
 from fractions import Fraction
@@ -301,6 +303,18 @@ BUILTIN_TABLES = [
 ]
 
 
+@st.composite
+def tables_with_few_values(draw):
+    """Values from a pool of 1 to 4, so that the value classes of the
+    kernels stay few and their pruning and class paths run; the values of
+    ``tables_with_values`` are mostly all distinct."""
+    table = draw(st.one_of(transformation_tables(), st.sampled_from(BUILTIN_TABLES)))
+    landmarks = st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1), 2, 3])
+    pool = draw(st.lists(st.one_of(landmarks, rationals()), min_size=1, max_size=4))
+    values = draw(st.lists(st.sampled_from(pool), min_size=len(table), max_size=len(table)))
+    return table, values
+
+
 def all_magmas(n):
     for cells in itertools.product(range(n), repeat=n * n):
         yield [list(cells[i * n:(i + 1) * n]) for i in range(n)]
@@ -399,6 +413,31 @@ def test_submultiplicative_verdict_and_witness_match_fractions(case):
     )
 
 
+@settings(max_examples=200, deadline=None)
+@given(tables_with_few_values())
+@example(([[0] * 3] * 3, [Fraction(1, 2)] * 3))
+@example(([[0, 1], [1, 0]], [0, 0]))
+@example(([[0, 1], [1, 0]], [3, 3]))
+def test_submultiplicative_on_few_values_matches_fractions(case):
+    table, values = case
+    verdict = check_submultiplicative(FiniteSemigroup(table), values)
+    assert (verdict.ok, verdict.witness) == fraction_submultiplicative(
+        table, [Fraction(v) for v in values]
+    )
+
+
+def test_submultiplicative_by_value_classes_on_t3_and_t4():
+    # Few values on large tables, where the gate reads by value classes:
+    # raw draws, which mostly fail, and their envelopes, which pass.
+    rng = random.Random(34)
+    for s in (builtin_semigroup("t3"), full_transformation_monoid(4)):
+        for pool in ([0], [Fraction(1, 2)], [1, 2], [Fraction(1, 2), 1, 2], [0, Fraction(1, 3), 1, 3]):
+            values = [Fraction(rng.choice(pool)) for _ in s.elements()]
+            for table in (values, list(submultiplicative_envelope(s, values))):
+                verdict = check_submultiplicative(s, table)
+                assert (verdict.ok, verdict.witness) == fraction_submultiplicative(s.table, table)
+
+
 def test_submultiplicative_boundary_with_coprime_denominators():
     # On a null semigroup every product is element 0, so the verdict
     # turns on value(0) <= value(a) * value(b) alone.  With value(0) =
@@ -468,6 +507,58 @@ def test_envelope_zeroes_a_pumped_idempotent_in_the_first_round():
     assert all(v == 0 or v == b for v, b in zip(envelope, bound))
 
 
+def reference_envelope_rounds(table, values):
+    """The envelope's rounds read literally, in Fractions over every pair:
+    value(a*b) falls to the least value(a)*value(b) of the round before,
+    to 0 after the first (n - 1).bit_length() rounds; then idempotents
+    valued in (0, 1) are zeroed; the rounds stop after one that lowered
+    nothing.  Returns the table and the number of rounds."""
+    n = len(table)
+    exact_rounds = (n - 1).bit_length()
+    idempotent = [e for e in range(n) if table[e][e] == e]
+    values = [Fraction(v) for v in values]
+    rounds = 0
+    while True:
+        rounds += 1
+        lowered = list(values)
+        changed = False
+        for a in range(n):
+            for b in range(n):
+                c, candidate = table[a][b], values[a] * values[b]
+                if candidate < lowered[c]:
+                    changed = True
+                    lowered[c] = candidate if rounds <= exact_rounds else Fraction(0)
+        for e in idempotent:
+            if 0 < lowered[e] < 1:
+                lowered[e] = Fraction(0)
+        if not changed:
+            return values, rounds
+        values = lowered
+
+
+def envelope_pools(n):
+    """Pools of 1, 3, 16 and n values: below, at and above 1."""
+    return [
+        [Fraction(1, 2)],
+        [Fraction(1, 2), Fraction(1), Fraction(2)],
+        [Fraction(j, 8) for j in range(1, 17)],
+        [Fraction(j + 1, n // 2 + 1) for j in range(n)],
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_SEMIGROUPS) + ["t4"])
+def test_envelope_and_rounds_equal_the_literal_rounds(name):
+    # The envelope picks a pair or class round by the number of values;
+    # these pools put rounds on both sides.  t4 runs one draw per pool.
+    s = full_transformation_monoid(4) if name == "t4" else builtin_semigroup(name)
+    rng = random.Random(name)
+    for pool in envelope_pools(s.order):
+        for _ in range(1 if name == "t4" else 6):
+            values = [rng.choice(pool) for _ in s.elements()]
+            envelope, rounds = _envelope_rounds(s, values)
+            assert (list(envelope), rounds) == reference_envelope_rounds(s.table, values)
+
+
 # ---------------------------------------------------------------------------
 # green_structure: Cayley-graph components against principal ideals.
 
@@ -499,6 +590,17 @@ def test_natural_order_equals_natural_leq_on_builtins():
             (a, b) for a in s.elements() for b in s.elements() if natural_leq(s, a, b)
         }
         assert natural_order(s).pairs == expected, name
+
+
+def test_natural_order_on_t4_by_idempotents_equals_natural_leq():
+    # 2680 pairs, as the maps on 4 points give; the lower sets of a
+    # sample of elements against the brute force over all witnesses.
+    s = full_transformation_monoid(4)
+    pairs = natural_order(s).pairs
+    assert len(pairs) == 2680
+    for b in random.Random(4).sample(range(s.order), 12):
+        below = {a for a, c in pairs if c == b}
+        assert below == {a for a in s.elements() if natural_leq(s, a, b)}, b
 
 
 @settings(max_examples=60, deadline=None)
@@ -597,6 +699,116 @@ def test_inverse_and_order_scans_equal_the_definitions(case):
         verdict = scan(s, norm)
         assert (verdict.status, verdict.witness) == reference(s, norm.values)
 
+
+
+# P2-P8 against the laws read literally, on the four kinds of norm whose
+# scans skip derived structure (all zero, zero-free, every value at least
+# 1) and on mixed norms, which need it.  Green's D comes from principal
+# ideals, inverses and one-sided zeros by brute force, and a group is a
+# monoid in which every element has a two-sided inverse.
+
+
+def reference_suite(table, values):
+    n = len(table)
+    v = [Fraction(x) for x in values]
+    elements = range(n)
+    idempotent = [e for e in elements if table[e][e] == e]
+    zeros = {a for a in elements if v[a] == 0}
+    s = FiniteSemigroup(table)
+
+    p2 = next(((e, v[e]) for e in idempotent if 0 < v[e] < 1), None)
+    p2 = (PASS, None, "") if p2 is None else (FAIL, p2, "")
+
+    p3 = next(
+        ((a, b, table[a][b], v[table[a][b]])
+         for a in sorted(zeros) for b in sorted(zeros) if table[a][b] not in zeros),
+        None,
+    )
+    if p3 is not None:
+        p3 = (FAIL, p3, "")
+    elif zeros:
+        p3 = (PASS, None, f"zero set has {len(zeros)} elements")
+    else:
+        p3 = (PASS, None, "zero set empty (vacuously closed)")
+
+    p4 = (PASS, None, "")
+    for part in principal_ideal_green(table)[2]:
+        low = sorted(a for a in part if v[a] == 0)
+        high = sorted(a for a in part if v[a] != 0)
+        if low and high:
+            p4 = (FAIL, (low[0], high[0], v[high[0]]), "")
+            break
+
+    p5 = reference_inverse_lower_bound(s, v)
+    p5 = (p5[0], p5[1], "")
+
+    identity = brute_identity(table)
+    group = identity is not None and all(
+        any(table[a][b] == identity == table[b][a] for b in elements) for a in elements
+    )
+    if not group:
+        p6 = (INAPPLICABLE, None, "not a group")
+    elif zeros:
+        p6 = (INAPPLICABLE, None, "zero values present; the law assumes none")
+    else:
+        p6 = next(((FAIL, (a, v[a]), "") for a in elements if v[a] < 1), (PASS, None, ""))
+
+    one_sided = [
+        z for z in elements
+        if all(table[z][x] == z for x in elements) or all(table[x][z] == z for x in elements)
+    ]
+    carriers = [z for z in one_sided if v[z] != 0]
+    if not carriers:
+        detail = "every one-sided zero has value 0" if one_sided else "no one-sided zero elements"
+        p7 = (INAPPLICABLE, None, detail)
+    else:
+        p7 = next(
+            ((FAIL, (carriers[0], x, v[x]), "") for x in elements if v[x] < 1),
+            (PASS, None, ""),
+        )
+
+    p8 = reference_order_zero_downward(s, v)
+    p8 = (p8[0], p8[1], "")
+    return [
+        (law, *verdict)
+        for law, verdict in zip(("P2", "P3", "P4", "P5", "P6", "P7", "P8"),
+                                (p2, p3, p4, p5, p6, p7, p8))
+    ]
+
+
+@st.composite
+def norms_by_kind(draw):
+    """A table and a norm that is all zero, zero-free, at least 1
+    everywhere, or mixed (a zero and a nonzero value at least)."""
+    table = draw(st.one_of(transformation_tables(), st.sampled_from(BUILTIN_TABLES)))
+    n = len(table)
+    positive = st.builds(Fraction, st.integers(1, 12), st.integers(1, 6))
+    kind = draw(st.sampled_from(["zero", "zero-free", "at least 1", "mixed"]))
+    if kind == "zero":
+        return table, [Fraction(0)] * n
+    if kind == "zero-free":
+        return table, draw(st.lists(positive, min_size=n, max_size=n))
+    if kind == "at least 1":
+        return table, draw(st.lists(positive.map(lambda x: 1 + x), min_size=n, max_size=n))
+    values = draw(st.lists(st.one_of(st.just(Fraction(0)), positive), min_size=n, max_size=n))
+    if n > 1:
+        zero, nonzero = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        values[zero] = Fraction(0)
+        values[nonzero] = values[nonzero] or Fraction(1)
+    return table, values
+
+
+@settings(max_examples=150, deadline=None)
+@given(norms_by_kind())
+@example(([[0] * 4] * 4, [0, 0, 0, 0]))
+@example(([[0, 1], [1, 0]], [Fraction(1, 2), 2]))
+@example(([[0, 0, 3, 3], [0, 1, 2, 3], [0, 2, 1, 3], [0, 3, 0, 3]], [2, 1, 1, 3]))
+def test_suite_scans_equal_the_literal_laws(case):
+    table, values = case
+    s = FiniteSemigroup(table)
+    norm = NormTable(values)
+    got = [(v.proposition, v.status, v.witness, v.detail) for v in (scan(s, norm) for scan in RAW_SCANS)]
+    assert got == reference_suite(table, values)
 
 
 # ---------------------------------------------------------------------------
@@ -729,6 +941,18 @@ def test_literature_axioms_equal_the_definitions(case, notation, power_bound):
     assert report.notation == notation
     got = [(e.definition, e.axiom, e.status, e.witness, e.note) for e in report.entries]
     assert got == reference_axioms(table, values, notation, power_bound)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tables_with_few_values(), st.sampled_from(("multiplicative", "additive")))
+@example(([[0] * 4] * 4, [1, 1, 1, 1]), "multiplicative")
+@example(([[0] * 4] * 4, [0, 2, 2, 2]), "additive")
+def test_literature_axioms_on_few_values_equal_the_definitions(case, notation):
+    # The pair scans read only the rows their value classes leave them.
+    table, values = case
+    report = classify_literature_axioms(FiniteSemigroup(table), values, notation=notation)
+    got = [(e.definition, e.axiom, e.status, e.witness, e.note) for e in report.entries]
+    assert got == reference_axioms(table, values, notation, 5)
 
 
 
