@@ -4,12 +4,15 @@ Exit codes are a stable contract: 0 for success (everything checked out),
 1 for a mathematical failure (invalid table, violated inequality, FAIL
 verdict), 2 for usage, parse and I/O errors.  JSON output is the primary
 format and is byte-identical across runs of the same invocation; --format
-text renders the same content for reading.
+text renders the same content for reading.  ``run()`` is the entry of
+``python -m semnorms`` and the ``semnorms`` script; ``main(argv)`` runs a
+command line in process.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -49,7 +52,9 @@ def _emit(report: dict, fmt: str) -> None:
     if fmt == "json":
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
-        print(_render_text(report))
+        from .text import render_text
+
+        print(render_text(report))
 
 
 # ---------------------------------------------------------------------------
@@ -201,140 +206,6 @@ def cmd_witness(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Text rendering.
-
-
-def _render_text(report: dict) -> str:
-    if "error" in report:
-        return _table_text(f"{report['command']}: {report['error']}", report)
-    return _TEXT_RENDERERS[report["command"]](report)
-
-
-def _table_text(heading: str, r) -> str:
-    """``heading``, then one line for each thing a validation report finds
-    wrong with a table."""
-    lines = [heading]
-    for msg in r["structural"]:
-        lines.append(f"  structural: {msg}")
-    for e in r["out_of_range"]:
-        lines.append(f"  out of range at ({e['row']}, {e['col']}): {e['value']}")
-    for t in r["non_associative"]:
-        lines.append(f"  associativity fails at ({t['i']}, {t['j']}, {t['k']})")
-    return "\n".join(lines)
-
-
-def _text_validate(r) -> str:
-    verdict = "valid" if r["valid"] else "INVALID"
-    return _table_text(f"table {r['input']} (order {r['order']}): {verdict}", r)
-
-
-def _text_analyze(r) -> str:
-    g = r["green"]
-    lines = [
-        f"semigroup {r['input']}: order {r['order']}, "
-        + ("regular" if r["regular"] else "not regular"),
-        f"  identity: {r['identity']}",
-        f"  idempotents: {r['idempotents']}",
-        f"  zero elements: left {r['zero_elements']['left']}, "
-        f"right {r['zero_elements']['right']}, "
-        f"two-sided {r['zero_elements']['two_sided']}",
-        f"  R classes: {g['r_classes']}",
-        f"  L classes: {g['l_classes']}",
-        f"  D classes: {g['d_classes']}",
-        f"  H classes: {g['h_classes']}",
-        f"  natural order: {len(r['natural_order_pairs'])} pairs",
-    ]
-    return "\n".join(lines)
-
-
-def _text_norm_check(r) -> str:
-    sub = r["submultiplicative"]
-    lines = [f"norm {r['norm']} on {r['semigroup']}: "
-             + ("PASS" if r["pass"] else "FAIL")]
-    if sub["ok"]:
-        lines.append("  submultiplicative: yes")
-    else:
-        w = sub["witness"]
-        lines.append(
-            f"  submultiplicative: NO, value({w['a']}*{w['b']}) = {w['value_ab']}"
-            f" > {w['value_a']} * {w['value_b']}"
-        )
-    for v in r["propositions"]:
-        extra = ""
-        if "witness" in v:
-            extra = f" witness {v['witness']}"
-        elif "detail" in v:
-            extra = f" ({v['detail']})"
-        lines.append(f"  {v['proposition']}: {v['status']}{extra}")
-    for e in r["axioms"]["entries"]:
-        note = f" ({e['note']})" if "note" in e else ""
-        witness = f" witness {e['witness']}" if "witness" in e else ""
-        lines.append(f"  {e['definition']}.{e['axiom']}: {e['status']}{witness}{note}")
-    return "\n".join(lines)
-
-
-def _text_fuzz(r) -> str:
-    lines = [
-        f"fuzz {r['semigroup']} seed {r['seed']}: {r['generated']} norms "
-        f"({r['repaired']} repaired), {r['checker_runs']} checker runs",
-        f"  verdicts: {r['verdict_counts']}",
-        f"  result: {'PASS' if r['pass'] else 'FAIL'}",
-    ]
-    for f in r["failures"]:
-        lines.append(
-            f"  FAIL norm {f['norm_index']} {f['norm']}: {f['proposition']}"
-            f" witness {f.get('witness')}"
-        )
-    return "\n".join(lines)
-
-
-def _text_minor_norm(r) -> str:
-    return (
-        f"matrix {r['input']} (order {r['n']}): rank {r['rank']}, "
-        f"order-{r['k']} norm {r['norm_value']} ({r['mode']} mode), "
-        + ("nonzero" if r["norm_nonzero"] else "zero")
-    )
-
-
-def _text_witness(r) -> str:
-    lines = [
-        f"boundary sequence for n={r['n']}, k={r['k']} "
-        f"(coefficient {r['coefficient']}):",
-        "  m | norm | rank | pseudoinverse norm | product",
-    ]
-    for p in r["points"]:
-        lines.append(
-            f"  {p['m']} | {p['norm_value']} | {p['rank']} | "
-            f"{p['pseudoinverse_norm']} | {p['product']}"
-        )
-    limit = r["limit"]
-    lines.append(
-        f"  limit: zero matrix, norm {limit['norm_value']}, rank {limit['rank']}, "
-        + ("inside" if limit["in_nonzero_set"] else "outside")
-        + " the nonzero-norm set"
-    )
-    if r["not_closed"]:
-        lines.append(
-            "  conclusion: the set of matrices with nonzero order-k norm "
-            "(rank >= k) is NOT closed: it contains every sequence point "
-            "but not the limit"
-        )
-    else:
-        lines.append("  conclusion flag not established")
-    return "\n".join(lines)
-
-
-_TEXT_RENDERERS = {
-    "validate": _text_validate,
-    "analyze": _text_analyze,
-    "norm-check": _text_norm_check,
-    "fuzz": _text_fuzz,
-    "minor-norm": _text_minor_norm,
-    "witness": _text_witness,
-}
-
-
-# ---------------------------------------------------------------------------
 # Parser.
 
 
@@ -413,5 +284,50 @@ def main(argv=None) -> int:
         return 2
 
 
-if __name__ == "__main__":
-    sys.exit(main())
+def _observed() -> bool:
+    """Whether something that acts at a normal exit watches this process:
+    a trace or profile hook (coverage, cProfile, ``trace``, a debugger),
+    on Python 3.12+ a ``sys.monitoring`` tool, or ``-i``, which opens a
+    prompt after the program."""
+    monitoring = getattr(sys, "monitoring", None)
+    return bool(
+        sys.gettrace() is not None
+        or sys.getprofile() is not None
+        or sys.flags.inspect
+        or (monitoring and any(monitoring.get_tool(i) is not None for i in range(6)))
+    )
+
+
+def run() -> None:
+    """The process entry point of ``python -m semnorms`` and the
+    ``semnorms`` script: ``main()`` on ``sys.argv``, then end the process.
+
+    Once stdout and stderr are flushed, the report and the exit status are
+    all a run leaves, so the process ends through ``os._exit``. That skips
+    the interpreter's teardown, which unloads every module and frees every
+    object: memory the operating system reclaims anyway, at a fixed cost
+    that every run would pay.  The flush is the one the interpreter makes
+    at exit, and a stream whose flush fails (stdout into a closed pipe) is
+    reported as the interpreter reports it, with its exit status 120.
+    A hook that writes its output at a normal exit would lose it, so when
+    ``_observed()`` the process ends through ``sys.exit`` instead.
+    ``main(argv)`` is the in-process API and returns the status.
+    """
+    status = main()
+    if _observed():
+        sys.exit(status)
+    for stream in (sys.stdout, sys.stderr):
+        if stream is None or stream.closed:
+            continue
+        try:
+            stream.flush()
+        except Exception as exc:
+            import traceback
+
+            status = 120
+            with contextlib.suppress(Exception):
+                sys.stderr.write(
+                    f"Exception ignored in: {stream!r}\n"
+                    + "".join(traceback.format_exception_only(exc))
+                )
+    os._exit(status)

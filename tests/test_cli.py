@@ -2,10 +2,12 @@
 
 Exit code contract: 0 success, 1 mathematical failure, 2 usage or parse
 trouble.  Tests call main() in process, except where a fresh process is
-the point (a hang, or the modules a command imports); byte-level
-determinism across separate processes is covered by the acceptance suite.
+the point (a hang, the modules a command imports, or how the process
+ends); byte-level determinism across separate processes is covered by the
+acceptance suite.
 """
 
+import ast
 import contextlib
 import hashlib
 import io
@@ -19,6 +21,7 @@ import sys
 import tempfile
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -652,8 +655,16 @@ COMMAND_MODULES = {
 }
 
 
-@pytest.mark.parametrize("command", sorted(COMMAND_MODULES))
-def test_command_imports_only_what_it_runs(command, tmp_path):
+@pytest.mark.parametrize(
+    "command, fmt",
+    [pytest.param(command, "json", id=command) for command in sorted(COMMAND_MODULES)]
+    + [
+        pytest.param(command, "text", id=f"{command}-text")
+        for command in sorted(COMMAND_MODULES)
+        if command != "--help"
+    ],
+)
+def test_command_imports_only_what_it_runs(command, fmt, tmp_path):
     norm = tmp_path / "norm.txt"
     norm.write_text("1\n1\n")
     matrix = tmp_path / "matrix.txt"
@@ -667,18 +678,168 @@ def test_command_imports_only_what_it_runs(command, tmp_path):
         "minor-norm": ["minor-norm", str(matrix), "--k", "1"],
         "witness": ["witness", "--n", "3", "--k", "1"],
     }[command]
+    # The text renderers are compiled only when a run asks for them.
+    expected = {"cli", "errors"} | COMMAND_MODULES[command]
+    if fmt == "text":
+        argv, expected = [*argv, "--format", "text"], expected | {"text"}
     # -v reports every module the import system loads, also those loaded
     # through importlib by the package's lazy attributes.
     result = run_module(*argv, python_options=("-v",))
     assert result.returncode == 0, result.stderr
     loaded = set(re.findall(r"^import 'semnorms\.(\w+)'", result.stderr, re.MULTILINE))
-    assert loaded == {"cli", "errors"} | COMMAND_MODULES[command]
+    assert loaded == expected
     # The runtime is the standard library; these serve the tests only.
     assert not re.findall(r"^import '(sympy|hypothesis|numpy)\b", result.stderr, re.MULTILINE)
     # Records are named tuples and plain classes, so no command pays for
     # ``dataclasses`` and the ``inspect`` it imports.  ``python -c pass``
     # loads neither, so only the package could load them.
     assert not re.findall(r"^import '(dataclasses|inspect)'", result.stderr, re.MULTILINE)
+
+
+# ---------------------------------------------------------------------------
+# the process entry: ``python -m semnorms`` ends at its report without the
+# interpreter's teardown, and must leave what a normal exit leaves
+
+
+@pytest.fixture(scope="module")
+def entry_files(tmp_path_factory):
+    """Placeholder -> path of each input file the entry cases read."""
+    tmp = tmp_path_factory.mktemp("entry")
+    t4 = full_transformation_monoid(4)
+    contents = {
+        "NORM": "1\n1\n",
+        "MATRIX": "2 2\n1 2\n3 4\n",
+        "BAD": "2\n0 1\n0 0\n",
+        "T4": f"{t4.order}\n" + "".join(" ".join(map(str, row)) + "\n" for row in t4.table),
+    }
+    for name, text in contents.items():
+        (tmp / f"{name.lower()}.txt").write_text(text)
+    return {name: str(tmp / f"{name.lower()}.txt") for name in contents}
+
+
+REPORTS = {
+    "validate": ["validate", "t2"],
+    "analyze": ["analyze", "s3"],
+    "norm-check": ["norm-check", "z2", "NORM"],
+    "fuzz": ["fuzz", "t2", "--count", "3"],
+    "minor-norm": ["minor-norm", "MATRIX", "--k", "1"],
+    "witness": ["witness", "--n", "3", "--k", "1", "--m-max", "4"],
+}
+ENTRY_CASES = [
+    *(
+        pytest.param(argv + extra, 0, id=f"{command}-{fmt}")
+        for command, argv in REPORTS.items()
+        for fmt, extra in (("json", []), ("text", ["--format", "text"]))
+    ),
+    pytest.param(["validate", "BAD"], 1, id="invalid-table"),
+    pytest.param(["analyze", "BAD", "--format", "text"], 1, id="invalid-table-text"),
+    pytest.param(["witness", "--n", "x"], 2, id="usage-error"),
+    pytest.param(["fuzz", "t3", "--count", "1000000000"], 2, id="refused-count"),
+    # About 130 KB, twice a pipe's buffer: a flush that lost data would show.
+    pytest.param(["analyze", "T4"], 0, id="analyze-t4-file"),
+]
+
+
+@pytest.mark.parametrize("argv, expected", ENTRY_CASES)
+def test_module_run_prints_what_main_returns(argv, expected, entry_files, monkeypatch):
+    # argparse wraps usage lines to the terminal's width; fix it for both.
+    monkeypatch.setenv("COLUMNS", "80")
+    # Buffered, as a user runs it, so the report waits for the last flush.
+    monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+    argv = [entry_files.get(arg, arg) for arg in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    result = subprocess.run(
+        [sys.executable, "-m", "semnorms", *argv], capture_output=True, timeout=60
+    )
+    assert code == expected
+    assert result.returncode == code
+    assert result.stdout == out.getvalue().encode()
+    assert result.stderr == err.getvalue().encode()
+
+
+def test_tools_that_report_at_exit_still_report():
+    # cProfile prints its table after the program; ``run`` must exit
+    # normally under it, or the table is lost.
+    profiled = run_module("validate", "t2", python_options=("-m", "cProfile"))
+    assert profiled.returncode == 0, profiled.stderr
+    assert '"valid": true' in profiled.stdout
+    assert "function calls" in profiled.stdout and "Ordered by" in profiled.stdout
+    traced = subprocess.run(
+        [sys.executable, "-m", "trace", "--listfuncs", "--module", "semnorms", "validate", "z2"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert traced.returncode == 0, traced.stderr
+    assert "functions called:" in traced.stdout
+    # -i opens a prompt after the program.
+    inspected = subprocess.run(
+        [sys.executable, "-i", "-m", "semnorms", "validate", "z2"],
+        input="print('inspected')\n", capture_output=True, text=True, timeout=30,
+    )
+    assert inspected.stdout.rstrip().endswith("inspected")
+
+
+FAILED_FLUSH = (
+    r"Exception ignored in: <_io.TextIOWrapper name='<stdout>' mode='w' encoding='[\w-]+'>\n"
+    r"BrokenPipeError: \[Errno 32\] Broken pipe\n"
+)
+
+
+# Recorded before ``run`` ended the process: unbuffered, the report's own
+# write fails and ``main`` reports it; buffered, the flush at exit fails
+# and the interpreter reports it with status 120, whether the failed flush
+# kept the report (``validate t2``) or dropped it (``analyze t3``).
+@pytest.mark.parametrize(
+    "argv, unbuffered, code, message",
+    [
+        pytest.param(
+            ["analyze", "t3"], True, 2, r"error: \[Errno 32\] Broken pipe\n", id="unbuffered"
+        ),
+        pytest.param(["analyze", "t3"], False, 120, FAILED_FLUSH, id="buffered-dropped"),
+        pytest.param(["validate", "t2"], False, 120, FAILED_FLUSH, id="buffered-kept"),
+    ],
+)
+def test_a_closed_stdout_ends_as_a_normal_exit_does(argv, unbuffered, code, message):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "semnorms", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=30) == code
+    assert re.fullmatch(message, stderr), stderr
+
+
+# Cleanup these modules do (atexit handlers, joining threads and worker
+# pools, flushing log handlers, deleting temporary files, weakref
+# finalizers) runs only at a normal exit, which ``run`` skips.
+EXIT_TIME_MODULES = {
+    "atexit", "threading", "multiprocessing", "concurrent", "logging", "tempfile", "weakref",
+}
+
+
+def test_no_module_imports_one_that_cleans_up_at_exit():
+    package = Path(main.__code__.co_filename).parent
+    sources = sorted(package.glob("*.py"))
+    assert "cli.py" in [path.name for path in sources]
+    found = []
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            found += [
+                (path.name, name) for name in names if name.split(".")[0] in EXIT_TIME_MODULES
+            ]
+    assert found == []
 
 
 # ---------------------------------------------------------------------------
