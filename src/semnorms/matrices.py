@@ -11,9 +11,9 @@ is built only for each entry of a result.
 Two kernels do the work.  ``compound`` enumerates the minors by one
 integer Laplace program; the norm, its float rounding and the right side
 of Cauchy-Binet all read it.  ``_eliminate``, one Bareiss fraction-free
-elimination, gives ``det`` (and ``minor`` through it), ``rank`` and the
-pivots of ``generalized_inverse``; ``det`` is the independent reference
-the Laplace program is tested against.
+elimination, gives ``det`` (and ``minor`` through it), ``rank``, and the
+pivots and Schur complement of ``generalized_inverse``; ``det`` is the
+independent reference the Laplace program is tested against.
 """
 
 from __future__ import annotations
@@ -146,18 +146,22 @@ def _require_square(a: RatMatrix) -> None:
         raise ValueError(f"need a square matrix, got {a.rows}x{a.cols}")
 
 
-def _eliminate(grid: list[list[int]]) -> tuple[list[int], list[int], int]:
+def _eliminate(
+    grid: list[list[int]], width: int | None = None
+) -> tuple[list[int], list[int], int, list[list[int]]]:
     """Bareiss fraction-free forward elimination of an integer matrix
     (Bareiss 1968, "Sylvester's identity and multistep
     integer-preserving Gaussian elimination").
 
-    Columns are taken from left to right.  A column whose remaining rows
-    are all zero is passed over; otherwise the first remaining row with a
-    nonzero entry there becomes the next pivot row, and every other
-    remaining row x is replaced by (p * x - x_c * y) / q, where y is the
-    pivot row, p = y_c its pivot and q the previous pivot (1 at first).
-    Returns the pivot rows (indices into grid, in pivot order), the pivot
-    columns and the last pivot (1 when there is none).
+    The first ``width`` columns (all of them by default) are taken from
+    left to right.  A column whose remaining rows are all zero is passed
+    over; otherwise the first remaining row with a nonzero entry there
+    becomes the next pivot row, and every other remaining row x is
+    replaced by (p * x - x_c * y) / q, where y is the pivot row, p = y_c
+    its pivot and q the previous pivot (1 at first).  Returns the pivot
+    rows (indices into grid, in pivot order), the pivot columns, the last
+    pivot (1 when there is none) and the rows never pivoted on, in grid
+    order, each holding its entries from column ``width`` on.
 
     - Each step replaces x by p / q times the Gaussian step x - (x_c / p) y,
       and p / q is nonzero, so the zero pattern, the pivots chosen and
@@ -172,11 +176,17 @@ def _eliminate(grid: list[list[int]]) -> tuple[list[int], list[int], int]:
     - The last pivot is the minor on all pivot rows, in pivot order, and
       all pivot columns.  For a square grid of full rank that is det(grid)
       times the sign of the pivot-row permutation.
+    - Schur complement: when the first ``width`` columns all hold pivots,
+      let W be grid on the pivot rows, in pivot order, and those columns.
+      The minor above for a remaining row x and a column c is
+      det [[W, w_c], [x', x_c]] = det(W) (x_c - x' W^-1 w_c), and det(W)
+      is the last pivot: the rows returned hold the last pivot times the
+      Schur complement of W, which no reordering of W's rows changes.
     """
     active = list(enumerate(grid))  # (row index, its entries from the current column on)
     pivot_rows, pivot_cols = [], []
     prev = 1
-    for c in range(len(grid[0])):
+    for c in range(len(grid[0]) if width is None else width):
         found = next((i for i, (_, row) in enumerate(active) if row[0]), None)
         if found is None:
             active = [(i, row[1:]) for i, row in active]
@@ -192,7 +202,7 @@ def _eliminate(grid: list[list[int]]) -> tuple[list[int], list[int], int]:
         prev = lead
         if not active:
             break
-    return pivot_rows, pivot_cols, prev
+    return pivot_rows, pivot_cols, prev, [row for _, row in active]
 
 
 def det(a: RatMatrix) -> Fraction:
@@ -201,7 +211,7 @@ def det(a: RatMatrix) -> Fraction:
     determinant is the product of the row scales times det(a)."""
     _require_square(a)
     scales, grid = _scaled_rows(a.to_rows())
-    rows, _, last = _eliminate(grid)
+    rows, _, last, _ = _eliminate(grid)
     if len(rows) < a.rows:
         return Fraction(0)
     inversions = sum(x > y for i, x in enumerate(rows) for y in rows[i + 1:])
@@ -457,31 +467,6 @@ def rank(a: RatMatrix) -> int:
     return len(_eliminate(grid)[0])
 
 
-def _solve(k: list[list[int]], b: list[list[int]]) -> tuple[list[list[int]], int]:
-    """Y and D with k^-1 b = Y / D, for an invertible integer r x r
-    matrix k and an integer r x m matrix b, by fraction-free Gauss-Jordan
-    on [k | b]: the Bareiss step of ``_eliminate`` applied to every row
-    but the pivot row, rows above it included.  After the j-th step the
-    left block's first j columns are the j-th pivot times those of the
-    identity, and every entry is a minor of [k | b] (Cramer's rule), so
-    each division is exact; at the end the left block is D times the
-    identity, and D is det(k) up to sign."""
-    m = [kr + br for kr, br in zip(k, b)]
-    r = len(m)
-    prev = 1
-    for c in range(r):
-        found = next(i for i in range(c, r) if m[i][c])
-        m[c], m[found] = m[found], m[c]
-        pivot = m[c]
-        lead = pivot[c]
-        m = [
-            row if i == c else [(lead * x - row[c] * y) // prev for x, y in zip(row, pivot)]
-            for i, row in enumerate(m)
-        ]
-        prev = lead
-    return [row[r:] for row in m], prev
-
-
 def generalized_inverse(a: RatMatrix) -> RatMatrix:
     """Moore-Penrose inverse of a square rational matrix, exactly, on
     integers.
@@ -501,29 +486,43 @@ def generalized_inverse(a: RatMatrix) -> RatMatrix:
     G^T (C^T A R^T M^T)^-1 = R^T M^T M^-T (C^T A R^T)^-1.  Finally
     a^+ = (A / d)^+ = d A^+.
 
-    K = C^T A R^T is an r x r integer matrix; ``_solve`` gives
-    K^-1 C^T = Y / D with Y integral, so a^+ = d R^T Y / D and one
-    Fraction is built per entry.  The defining identities a g a = a and
-    g a g = g are re-verified before returning.
+    K = C^T A R^T is an invertible r x r integer matrix.  ``_eliminate``
+    on the first r columns of the block [[K, C^T], [-R^T, 0]] pivots in
+    K's rows alone (the rest of K's rows after each pivot form the Schur
+    complement of an invertible block of K, itself invertible).  Its last
+    pivot D is det K with the rows in pivot order, and the rows it leaves
+    are D times the Schur complement, G' = D R^T K^-1 C^T, so
+    a^+ = d G' / D whatever the sign of D.  G' and D are divided by their
+    gcd, and the four Penrose identities, A G' A = D A, G' A G' = D G'
+    and A G' and G' A symmetric, are verified on these integers before
+    the one Fraction per entry is built.
     """
     _require_square(a)
     n = a.rows
     d = math.lcm(*(x.denominator for x in a.entries))
     big_a = [[x.numerator * (d // x.denominator) for x in row] for row in a.to_rows()]
-    pivot_rows, pivot_cols, _ = _eliminate(big_a)
+    pivot_rows, pivot_cols, _, _ = _eliminate(big_a)
     if not pivot_rows:
         return RatMatrix.zeros(n, n)
-    ct = [[row[q] for row in big_a] for q in pivot_cols]
+    at = list(zip(*big_a))
+    ct = [list(at[q]) for q in pivot_cols]
     big_r = [big_a[p] for p in pivot_rows]
-    k = _products(_products(ct, list(zip(*big_a))), big_r)
-    y, den = _solve(k, ct)
-    numerators = _products(list(zip(*big_r)), list(zip(*y)))
-    g = RatMatrix(n, n, tuple(Fraction(d * x, den) for row in numerators for x in row))
-    aga = mat_mul(mat_mul(a, g), a)
-    gag = mat_mul(mat_mul(g, a), g)
-    if aga != a or gag != g:  # pragma: no cover
+    k = _products(_products(ct, at), big_r)
+    block = [kr + cr for kr, cr in zip(k, ct)]
+    block += [[-x for x in col] + [0] * n for col in zip(*big_r)]
+    _, _, den, g = _eliminate(block, len(pivot_rows))
+    common = math.gcd(den, *itertools.chain.from_iterable(g))
+    den, g = den // common, [[x // common for x in row] for row in g]
+    gt = list(zip(*g))
+    ag, ga = _products(big_a, gt), _products(g, at)
+    if not (
+        ag == list(map(list, zip(*ag)))
+        and ga == list(map(list, zip(*ga)))
+        and _products(ag, at) == [[den * x for x in row] for row in big_a]
+        and _products(ga, gt) == [[den * x for x in row] for row in g]
+    ):
         raise RuntimeError("generalized inverse failed its defining identities")
-    return g
+    return RatMatrix(n, n, tuple(Fraction(d * x, den) for row in g for x in row))
 
 
 class MinorNormCheck(NamedTuple):
@@ -617,9 +616,9 @@ def witness_sequence(n: int, k: int, m_max: int) -> WitnessReport:
         raise ValueError(f"need k strictly below n, got k={k}, n={n}")
     if m_max < 1:
         raise ValueError(f"m_max must be at least 1, got {m_max}")
-    # Each point (and the limit) takes two compounds, and a pseudoinverse
-    # and a rank: about a dozen n x n products and eliminations, which
-    # 30 * n**3 steps and 400 for building the point cover.
+    # Each point (and the limit) takes two compounds, a pseudoinverse (two
+    # eliminations and six integer products) and a rank, which 30 * n**3
+    # steps cover, and 400 more steps cover building the point.
     per_point = 2 * _compound_steps(n, n, k) + 30 * n**3 + 400
     _check_work_budget(
         (m_max + 1) * per_point, f"the witness sequence for n={n}, k={k}, m_max={m_max}"

@@ -16,6 +16,7 @@ import math
 import os
 import random
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -27,6 +28,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import semnorms
 from semnorms import full_transformation_monoid, random_submultiplicative_norms
 from semnorms.cli import main
 
@@ -740,23 +742,50 @@ ENTRY_CASES = [
 ]
 
 
+@pytest.fixture(scope="module")
+def other_pythons():
+    """Every other CPython that ``requires-python = ">=3.10"`` admits, as
+    PATH names it (python3.10 to python3.13), except the one running the
+    tests; a name that is missing or fails ``-c pass`` is left out."""
+    found = []
+    for minor in range(10, 14):
+        path = shutil.which(f"python3.{minor}")
+        if minor == sys.version_info.minor or path is None:
+            continue
+        try:
+            probe = subprocess.run([path, "-c", "pass"], capture_output=True, timeout=60)
+        except (OSError, subprocess.TimeoutExpired):
+            continue
+        if probe.returncode == 0:
+            found.append(path)
+    return found
+
+
 @pytest.mark.parametrize("argv, expected", ENTRY_CASES)
-def test_module_run_prints_what_main_returns(argv, expected, entry_files, monkeypatch):
-    # argparse wraps usage lines to the terminal's width; fix it for both.
+def test_module_run_prints_what_main_returns(
+    argv, expected, entry_files, other_pythons, monkeypatch
+):
+    # argparse wraps usage lines to the terminal's width; fix it for every run.
     monkeypatch.setenv("COLUMNS", "80")
     # Buffered, as a user runs it, so the report waits for the last flush.
     monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+    # Every interpreter imports this semnorms, installed or not.
+    source = str(Path(semnorms.__file__).parents[1])
+    monkeypatch.setenv("PYTHONPATH", os.pathsep.join(filter(None, (
+        source, os.environ.get("PYTHONPATH")
+    ))))
     argv = [entry_files.get(arg, arg) for arg in argv]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    result = subprocess.run(
-        [sys.executable, "-m", "semnorms", *argv], capture_output=True, timeout=60
-    )
     assert code == expected
-    assert result.returncode == code
-    assert result.stdout == out.getvalue().encode()
-    assert result.stderr == err.getvalue().encode()
+    for python in (sys.executable, *other_pythons):
+        result = subprocess.run(
+            [python, "-m", "semnorms", *argv], capture_output=True, timeout=60
+        )
+        assert result.returncode == code, python
+        assert result.stdout == out.getvalue().encode(), python
+        assert result.stderr == err.getvalue().encode(), python
 
 
 def test_tools_that_report_at_exit_still_report():

@@ -191,6 +191,9 @@ def test_params_validation_and_coefficient():
         MinorNormParams(3, 4)
     with pytest.raises(ValueError, match="order must be positive"):
         MinorNormParams(0, 0)
+    for n, k in ((3.0, 1), (3, "1")):
+        with pytest.raises(ValueError, match="n and k must be integers"):
+            MinorNormParams(n, k)
 
 
 def test_params_are_an_immutable_value():

@@ -10,13 +10,15 @@ stored inverse sets of P5, the least violating pair of P8 and the laws
 P3-P8 decided on all-zero or zero-free norms without derived structure,
 the integer pair scans of ``classify_literature_axioms``, the integer Laplace program of ``compound``,
 the integer products of ``mat_mul``, the Bareiss elimination of ``rank``
-and ``det``, the integer pseudoinverse, and the split-based tokenizer
+and ``det`` and its Schur complement, the integer pseudoinverse and its
+Penrose check, and the split-based tokenizer
 and the table-entry lookup of the text parsers.  The references here are
 written from the definitions alone, or are sympy's, and share no code
 with those kernels; hypothesis draws the inputs.
 """
 
 import itertools
+import math
 import random
 import re
 import sys
@@ -58,6 +60,8 @@ from semnorms import (
     submultiplicative_envelope,
     validate,
 )
+from semnorms import matrices
+from semnorms.matrices import _eliminate
 from semnorms.norms import _envelope_rounds
 from semnorms.propositions import (
     _scan_group_lower_bound,
@@ -1088,10 +1092,20 @@ def test_det_matches_sympy(a):
     assert det(a) == Fraction(str(sympy.Matrix(a.to_rows()).det()))
 
 
+# Points x_m = diag((1/m) I_k, 0) of the witness sequence, whose
+# pseudoinverse is diag(m I_k, 0).
+WITNESS_POINTS = tuple(
+    RatMatrix.diagonal([Fraction(1, m)] * k, n) for n, k, m in ((2, 1, 1), (3, 1, 4), (6, 3, 7))
+)
+
+
 @settings(max_examples=60, deadline=None)
 @given(square_matrices())
 @example(SWAPPING[0])
 @example(SWAPPING[1])
+@example(WITNESS_POINTS[0])
+@example(WITNESS_POINTS[1])
+@example(WITNESS_POINTS[2])
 def test_generalized_inverse_matches_sympy_pinv(a):
     sympy = pytest.importorskip("sympy")
     g = generalized_inverse(a)
@@ -1104,6 +1118,125 @@ def test_generalized_inverse_matches_sympy_pinv(a):
     assert fraction_product(ga, g) == g.to_rows()
     assert ag.transpose() == ag
     assert ga.transpose() == ga
+
+
+def leibniz_det(k):
+    """det k as the signed sum over permutations."""
+    return sum(
+        (-1) ** inversions(p) * math.prod(k[i][p[i]] for i in range(len(k)))
+        for p in itertools.permutations(range(len(k)))
+    )
+
+
+def inversions(seq):
+    return sum(x > y for x, y in itertools.combinations(seq, 2))
+
+
+def fraction_inverse(k):
+    """k^-1 in Fractions, by Gauss-Jordan on [k | I] with row exchanges."""
+    n = len(k)
+    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(k)]
+    for c in range(n):
+        p = next(i for i in range(c, n) if m[i][c])
+        m[c], m[p] = m[p], m[c]
+        m[c] = [x / m[c][c] for x in m[c]]
+        for i in range(n):
+            factor = m[i][c]
+            if i != c and factor:
+                m[i] = [x - factor * y for x, y in zip(m[i], m[c])]
+    return [row[n:] for row in m]
+
+
+@st.composite
+def schur_blocks(draw):
+    """K, B and U of an integer block [[K, B], [-U, 0]] with K invertible:
+    a drawn nonsingular square, or one of SWAPPING, times the lcm of its
+    denominators, or a nonzero integer.  U may have no rows."""
+    square = draw(st.one_of(
+        nonsingular_squares(), st.sampled_from(SWAPPING), rat_matrices(1, 1).filter(
+            lambda a: a.entries[0] != 0
+        ),
+    ))
+    scale = math.lcm(*(x.denominator for x in square.entries))
+    k = [[int(x * scale) for x in row] for row in square.to_rows()]
+    entries = st.one_of(st.integers(-9, 9), st.integers(-10**12, 10**12))
+    r, cols, rows = len(k), draw(st.integers(1, 4)), draw(st.integers(0, 4))
+    b = [draw(st.lists(entries, min_size=cols, max_size=cols)) for _ in range(r)]
+    u = [draw(st.lists(entries, min_size=r, max_size=r)) for _ in range(rows)]
+    return k, b, u
+
+
+@settings(max_examples=100, deadline=None)
+@given(schur_blocks())
+def test_eliminate_leaves_the_last_pivot_times_the_schur_complement(case):
+    k, b, u = case
+    r = len(k)
+    block = [kr + br for kr, br in zip(k, b)] + [[-x for x in ur] + [0] * len(b[0]) for ur in u]
+    pivot_rows, pivot_cols, last, rest = _eliminate(block, r)
+    # Every pivot falls in K's rows, where the default call on K alone finds them.
+    assert pivot_cols == list(range(r)) and sorted(pivot_rows) == list(range(r))
+    assert _eliminate(k) == (pivot_rows, pivot_cols, last, [])
+    assert last == (-1) ** inversions(pivot_rows) * leibniz_det(k)
+    kinv = fraction_inverse(k)
+    schur = [
+        [sum(ui[s] * kinv[s][t] * b[t][c] for s in range(r) for t in range(r))
+         for c in range(len(b[0]))]
+        for ui in u
+    ]
+    assert rest == [[last * x for x in row] for row in schur]
+
+
+@st.composite
+def inner_inverse_draws(draw):
+    """x with U and V for b1 = g + (I - g x) U + V (I - x g), g = x^+;
+    x is singular in most draws, and U and V are zero in some, where
+    b1 = g."""
+    x = draw(st.one_of(
+        square_matrices(), low_rank_products(square=True), st.sampled_from(WITNESS_POINTS)
+    ))
+    n = x.rows
+    u, v = (draw(st.one_of(st.just(RatMatrix.zeros(n)), rat_matrices(n, n))) for _ in "uv")
+    return x, u, v
+
+
+@settings(max_examples=60, deadline=None)
+@given(inner_inverse_draws())
+@example((SWAPPING[0], RatMatrix.identity(2), RatMatrix.identity(2)))
+@example((WITNESS_POINTS[1], RatMatrix.identity(3), RatMatrix.zeros(3)))
+def test_generalized_inverse_check_refuses_every_other_inner_inverse(case):
+    """b = b1 x b1 satisfies x b x = x and b x b = b for every U and V (a
+    {1,2}-inverse); it is x^+ only when x b and b x are symmetric too.
+    Fed to ``generalized_inverse`` as its Schur complement, b must pass
+    the in-kernel check exactly when it is x^+."""
+    sympy = pytest.importorskip("sympy")
+    x, u, v = case
+    big_x, big_u, big_v = (sympy.Matrix(m.to_rows()) for m in (x, u, v))
+    big_g, eye = big_x.pinv(), sympy.eye(x.rows)
+    b1 = big_g + (eye - big_g * big_x) * big_u + big_v * (eye - big_x * big_g)
+    big_b = b1 * big_x * b1
+    assert big_x * big_b * big_x == big_x and big_b * big_x * big_b == big_b
+    g, b = (
+        RatMatrix.from_rows([[Fraction(str(e)) for e in row] for row in m.tolist()])
+        for m in (big_g, big_b)
+    )
+    d = math.lcm(*(e.denominator for e in x.entries))
+    scale = math.lcm(*(e.denominator for e in b.entries))
+
+    def fed(grid, width=None):
+        pivots = _eliminate(grid, width)
+        if width is None:
+            return pivots
+        # d * G' / D = b: G' = scale * b and D = d * scale.
+        return (*pivots[:2], d * scale, [[int(e * scale) for e in row] for row in b.to_rows()])
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(matrices, "_eliminate", fed)
+        if b == g:
+            assert generalized_inverse(x) == g
+        else:
+            with pytest.raises(RuntimeError, match="failed its defining identities"):
+                generalized_inverse(x)
 
 
 # ---------------------------------------------------------------------------

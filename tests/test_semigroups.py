@@ -119,6 +119,9 @@ def test_construction_validates():
     with pytest.raises(InvalidSemigroupError) as exc:
         FiniteSemigroup(NON_ASSOCIATIVE_TABLE)
     assert exc.value.report.non_associative == ((1, 0, 1), (1, 1, 1))
+    with pytest.raises(InvalidSemigroupError) as exc:
+        FiniteSemigroup([[0, 5], [1, 0]])
+    assert str(exc.value) == "1 out-of-range entries (first at row 0, column 1: 5)"
 
 
 def test_construction_freezes_rows():
