@@ -31,17 +31,23 @@ from .errors import (
 )
 
 
-def _load_semigroup(spec: str):
-    """A builtin name wins over a file of the same name."""
+def _builtin(spec: str):
+    """The builtin semigroup named ``spec``, or None when ``spec`` is an
+    existing file.  A builtin name wins over a file of the same name."""
     from .catalog import BUILTIN_SEMIGROUPS, builtin_semigroup
-    from .semigroups import load_cayley_table
 
     if spec in BUILTIN_SEMIGROUPS:
         return builtin_semigroup(spec)
     if os.path.exists(spec):
-        return load_cayley_table(spec)
+        return None
     known = ", ".join(sorted(BUILTIN_SEMIGROUPS))
     raise ValueError(f"{spec!r} is neither a builtin name ({known}) nor a file")
+
+
+def _load_semigroup(spec: str):
+    from .semigroups import load_cayley_table
+
+    return _builtin(spec) or load_cayley_table(spec)
 
 
 def _parts(classes) -> list[list[int]]:
@@ -62,14 +68,14 @@ def _emit(report: dict, fmt: str) -> None:
 
 
 def cmd_validate(args) -> int:
-    from .catalog import BUILTIN_SEMIGROUPS, builtin_semigroup
     from .semigroups import parse_cayley_text, validate
 
-    if args.input in BUILTIN_SEMIGROUPS:
-        table = builtin_semigroup(args.input).table
-    else:
+    s = _builtin(args.input)
+    if s is None:
         with open(args.input, encoding="utf-8") as fh:
             table, _ = parse_cayley_text(fh.read())
+    else:
+        table = s.table
     report = validate(table)
     out = {"command": "validate", "input": args.input, "order": len(table)}
     out.update(report.to_jsonable())

@@ -663,16 +663,21 @@ def witness_sequence(n: int, k: int, m_max: int) -> WitnessReport:
     )
 
 
-def random_rational_matrix(
-    rng, rows: int, cols: int, max_numerator: int = 9, max_denominator: int = 4
-) -> RatMatrix:
-    """Entries p/q with |p| <= max_numerator and 1 <= q <= max_denominator,
+# The largest |p| and q of an entry p/q of ``random_rational_matrix``.
+_MAX_NUMERATOR = 9
+_MAX_DENOMINATOR = 4
+
+
+def random_rational_matrix(rng, rows: int, cols: int) -> RatMatrix:
+    """Entries p/q with |p| <= _MAX_NUMERATOR and 1 <= q <= _MAX_DENOMINATOR,
     drawn from the supplied random.Random instance."""
     return RatMatrix(
         rows,
         cols,
         tuple(
-            Fraction(rng.randint(-max_numerator, max_numerator), rng.randint(1, max_denominator))
+            Fraction(
+                rng.randint(-_MAX_NUMERATOR, _MAX_NUMERATOR), rng.randint(1, _MAX_DENOMINATOR)
+            )
             for _ in range(rows * cols)
         ),
     )

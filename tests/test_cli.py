@@ -100,6 +100,33 @@ def test_validate_text_format(capsys, tmp_path):
     assert "associativity fails at (1, 0, 1)" in out
 
 
+def random_table_file(tmp_path, n):
+    rng = random.Random(1)
+    path = tmp_path / f"random{n}.txt"
+    rows = [" ".join(str(rng.randrange(n)) for _ in range(n)) for _ in range(n)]
+    path.write_text("\n".join([str(n), *rows]) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("command", ["validate", "analyze", "norm-check", "fuzz"])
+def test_a_listing_over_the_budget_exits_2_at_once(capsys, tmp_path, command):
+    # A random order-100 table violates most of its 10**6 triples; listing
+    # them took seconds and printed tens of MB.  Light's test names one.
+    path = random_table_file(tmp_path, 100)
+    norm = tmp_path / "norm.txt"
+    norm.write_text("1\n" * 100)
+    argv = [command, str(path)] + ([str(norm)] if command == "norm-check" else [])
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert re.fullmatch(
+        r"error: not associative at triple \(\d+, \d+, \d+\); listing every violating "
+        r"triple would scan 1000000 triples, over the budget of 262144\n",
+        err,
+    )
+
+
 # ---------------------------------------------------------------------------
 # analyze
 
@@ -152,9 +179,13 @@ def test_analyze_text_format(capsys):
 
 
 def test_unknown_input_name(capsys):
-    code, _, err = run_cli(capsys, "analyze", "zz")
-    assert code == 2
-    assert "neither a builtin name" in err
+    for command in ("validate", "analyze"):
+        code, out, err = run_cli(capsys, command, "zz")
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: 'zz' is neither a builtin name "
+            "(c4, leftzero3, null4, s3, t2, t3, z2) nor a file\n"
+        )
 
 
 # ---------------------------------------------------------------------------

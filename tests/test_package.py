@@ -82,12 +82,17 @@ def test_unknown_names_raise():
 # README
 
 
+def readme_section(heading):
+    """The README's text from ``heading`` to the next second-level heading."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    return readme.split(f"\n{heading}\n", 1)[1].split("\n## ", 1)[0]
+
+
 def readme_format_examples():
     """(format, text) for each fenced block of README's File formats
     section; the format is the label, such as ``Matrix``, that opens the
     nearest paragraph before the block."""
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
-    section = readme.split("### File formats", 1)[1].split("\n## ", 1)[0]
+    section = readme_section("### File formats")
     examples, label = [], None
     for i, part in enumerate(section.split("```")):
         if i % 2:
@@ -108,3 +113,19 @@ def test_readme_format_examples_parse():
     assert sorted({label for label, _ in examples}) == sorted(parsers)
     for label, text in examples:
         assert parsers[label](text), (label, text)
+
+
+def test_readme_library_example_prints_what_it_says(capsys):
+    (code,) = re.findall(r"```python\n(.*?)```", readme_section("## Library"), re.DOTALL)
+    exec(code, {})
+    assert capsys.readouterr().out.splitlines() == [
+        "P2 PASS",
+        "P3 PASS",
+        "P4 PASS",
+        "P5 PASS",
+        "P6 INAPPLICABLE",
+        "P7 PASS",
+        "P8 PASS",
+        "4",
+        "True",
+    ]

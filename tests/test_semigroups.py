@@ -5,6 +5,7 @@ fact asserted below was computed independently from those tables before
 the assertions were written.
 """
 
+import re
 import sys
 import time
 from fractions import Fraction
@@ -32,7 +33,7 @@ from semnorms import (
     validate,
     zero_elements,
 )
-from semnorms.semigroups import inverse_sets
+from semnorms.semigroups import LISTING_BUDGET, inverse_sets
 
 # Self-maps of {0, 1} in lexicographic order: 0 = const 0, 1 = identity,
 # 2 = swap, 3 = const 1, composed left to right.
@@ -95,6 +96,34 @@ def test_validate_collects_every_non_associative_triple():
     report = validate(NON_ASSOCIATIVE_TABLE)
     assert not report.ok
     assert report.non_associative == ((1, 0, 1), (1, 1, 1))
+
+
+def cyclic_with_one_entry_changed(n):
+    table = [[(i + j) % n for j in range(n)] for i in range(n)]
+    table[3][5] = 0
+    return table
+
+
+def test_listing_is_bounded_by_the_triples_it_would_scan():
+    # Order 64 scans 64**3 = LISTING_BUDGET triples and lists its
+    # violations; order 65 is refused before any listing, by ValueError
+    # naming a violating triple that Light's test found.
+    assert LISTING_BUDGET == 64**3
+    table = cyclic_with_one_entry_changed(64)
+    triples = validate(table).non_associative
+    assert triples and all(
+        table[table[i][j]][k] != table[i][table[j][k]] for i, j, k in triples
+    )
+    assert len(triples) == sum(
+        table[table[i][j]][k] != table[i][table[j][k]]
+        for i in range(64) for j in range(64) for k in range(64)
+    )
+    table = cyclic_with_one_entry_changed(65)
+    for check in (validate, FiniteSemigroup):
+        with pytest.raises(ValueError, match="over the budget of 262144") as exc:
+            check(table)
+        i, j, k = map(int, re.search(r"triple \((\d+), (\d+), (\d+)\)", str(exc.value)).groups())
+        assert table[table[i][j]][k] != table[i][table[j][k]]
 
 
 def test_validate_summary_counts():
