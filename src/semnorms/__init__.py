@@ -33,7 +33,6 @@ _EXPORTS = {
             (
                 "DEFAULT_VALUE_POOL",
                 "InvalidSemigroupError",
-                "NormConstructionError",
                 "NormDomainError",
                 "ParseError",
                 "SemnormsError",
@@ -71,9 +70,7 @@ _EXPORTS = {
                 "NormBatch",
                 "NormTable",
                 "SubmultiplicativityVerdict",
-                "builtin_norm",
                 "check_submultiplicative",
-                "exp_approx",
                 "load_norm_table",
                 "parse_norm_text",
                 "random_submultiplicative_norms",

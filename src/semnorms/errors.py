@@ -49,10 +49,6 @@ class NormDomainError(SemnormsError):
     """Norm values must be nonnegative rationals."""
 
 
-class NormConstructionError(SemnormsError):
-    """A built-in norm family produced a table that failed its own guard."""
-
-
 class Immutable:
     """Base of a ``__slots__`` value class whose fields are set once, by
     ``object.__setattr__`` in its ``__init__``.  Each subclass defines

@@ -247,8 +247,9 @@ def minor(a: RatMatrix, row_subset: Sequence[int], col_subset: Sequence[int]) ->
 # multiply-add of one-digit operands, 0.2 to 1.6 microseconds in CPython
 # on a 2-core Xeon; the estimates below count the work of building
 # Fractions in the same unit, and multiply by ``_limbs`` for wider
-# entries.  At the budget, with one-digit entries, a compound takes 0.7
-# to 1.4 s and its norm 0.4 to 0.6 s, under 100 MB besides the input.
+# entries.  Near the budget, with one-digit entries, a compound takes 0.4
+# to 1.0 s and its norm 0.1 to 0.2 s (k = n: about 2 s at order 18),
+# under 100 MB besides the input.
 WORK_BUDGET = 3_000_000
 
 # Steps per multiply-subtract of the Bareiss elimination in ``rank``.
@@ -352,20 +353,31 @@ def _laplace_level(level: dict, grid: list, cols: int, j: int, last: int) -> dic
     """One step of the program in ``compound``: from the minors of size j
     on each row prefix to those of size j + 1.  A prefix maps to its
     minors listed in the order of itertools.combinations(range(cols), j),
-    so each cofactor is read by its index in that list."""
+    so each cofactor is read by its index in that list.
+
+    The j + 1 terms of every (j + 1)-subset of columns are laid out flat,
+    subset after subset.  Each row's entries are gathered into that layout
+    once, with the cofactor signs folded in, and each prefix's cofactors
+    once; a new minor is then the sum of one group of j + 1 consecutive
+    products, and the products and the group sums run in C."""
     index = {c_set: i for i, c_set in enumerate(itertools.combinations(range(cols), j))}
-    expansion = [
-        [(c, index[c_set[:t] + c_set[t + 1:]], (-1) ** (j + t)) for t, c in enumerate(c_set)]
-        for c_set in itertools.combinations(range(cols), j + 1)
-    ]
+    columns, cofactors, signs = [], [], []
+    for c_set in itertools.combinations(range(cols), j + 1):
+        for t, c in enumerate(c_set):
+            columns.append(c)
+            cofactors.append(index[c_set[:t] + c_set[t + 1:]])
+            signs.append((-1) ** (j + t))
+    # A size-j prefix ends on a row >= j - 1, so it grows by rows j..last + j.
+    signed = {
+        r: list(map(mul, signs, map(grid[r].__getitem__, columns)))
+        for r in range(j, last + j + 1)
+    }
     grown = {}
     for prefix, sub in level.items():
+        gathered = list(map(sub.__getitem__, cofactors))
         for r in range(prefix[-1] + 1, last + j + 1):
-            row = grid[r]
-            grown[prefix + (r,)] = [
-                sum(sign * row[c] * sub[i] for c, i, sign in terms if row[c])
-                for terms in expansion
-            ]
+            terms = map(mul, signed[r], gathered)
+            grown[prefix + (r,)] = list(map(sum, zip(*[terms] * (j + 1))))
     return grown
 
 

@@ -18,15 +18,12 @@ from typing import Iterable, NamedTuple, Sequence
 from .errors import (
     DEFAULT_VALUE_POOL,
     Immutable,
-    NormConstructionError,
     NormDomainError,
     ParseError,
     Tokens,
     rational,
 )
 from .semigroups import FiniteSemigroup, idempotents
-
-NORM_FAMILIES = ("zero", "one", "abs", "exp", "exp_abs")
 
 
 class NormTable(Immutable):
@@ -241,66 +238,6 @@ def _rows_to_scan(table, num, den, allowed) -> Sequence[int]:
 def zero_set(s: FiniteSemigroup, values) -> frozenset[int]:
     norm = _coerce(s, values)
     return frozenset(a for a in s.elements() if norm[a] == 0)
-
-
-# ---------------------------------------------------------------------------
-# Built-in families.
-
-# The number of terms after the leading 1 in ``exp_approx``'s series.
-_EXP_TERMS = 32
-
-
-def exp_approx(x: Fraction) -> Fraction:
-    """Truncated exponential series with exact rational arithmetic.
-
-    For x >= 0 this is the partial sum through x^_EXP_TERMS / _EXP_TERMS!
-    (a slight underestimate); negative arguments go through
-    1/exp_approx(-x) so the result stays positive.
-    """
-    x = Fraction(x)
-    if x < 0:
-        return 1 / exp_approx(-x)
-    term = Fraction(1)
-    total = Fraction(1)
-    for i in range(1, _EXP_TERMS + 1):
-        term = term * x / i
-        total += term
-    return total
-
-
-def builtin_norm(s: FiniteSemigroup, family: str) -> NormTable:
-    """Construct one of the stock families.
-
-    zero / one need no labels.  abs is |label|; exp is exp_approx(label)
-    and exp_abs is exp_approx(|label|).  Because exp_approx is only an
-    approximation of the exponential, every label-derived table is pushed
-    through check_submultiplicative afterwards; the guard, not the
-    construction, decides validity, and a guard failure raises
-    NormConstructionError with the violating pair.
-    """
-    if family == "zero":
-        return NormTable.constant(s.order, 0)
-    if family == "one":
-        return NormTable.constant(s.order, 1)
-    if family not in NORM_FAMILIES:
-        raise ValueError(f"unknown norm family {family!r} (known: {', '.join(NORM_FAMILIES)})")
-    if s.labels is None:
-        raise ValueError(f"norm family {family!r} needs element labels")
-    if family == "abs":
-        values = [abs(x) for x in s.labels]
-    elif family == "exp":
-        values = [exp_approx(x) for x in s.labels]
-    else:  # exp_abs
-        values = [exp_approx(abs(x)) for x in s.labels]
-    norm = NormTable(values)
-    verdict = check_submultiplicative(s, norm)
-    if not verdict.ok:
-        a, b, vab, va, vb = verdict.witness
-        raise NormConstructionError(
-            f"family {family!r} is not submultiplicative on this table: "
-            f"value({a}*{b}) = {vab} > {va} * {vb}"
-        )
-    return norm
 
 
 # ---------------------------------------------------------------------------

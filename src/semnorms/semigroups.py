@@ -1,9 +1,10 @@
 """Finite semigroups given by Cayley tables.
 
 Elements are the indices 0..n-1 and ``table[a][b]`` is the index of the
-product a*b.  Every algebraic operation works on indices only; optional
-rational labels are carried along for norm constructions but are never
-consulted by the algebra itself.
+product a*b.  Every algebraic operation works on indices only.  Optional
+rational labels are parsed and stored, but nothing reads them: they stay
+because the benchmark's replay (``bench/replay.py``) still passes them
+from ``parse_cayley_text`` to ``FiniteSemigroup``.
 """
 
 from __future__ import annotations
@@ -236,7 +237,8 @@ class FiniteSemigroup(Immutable):
     Construction validates the table and raises InvalidSemigroupError when
     it is not square, not in range, or not associative, or ValueError when
     it is not associative and too large to list (see ``validate``).  ``labels`` is an
-    optional per-element tuple of exact rationals.  ``generators`` is the
+    optional per-element tuple of exact rationals, stored and compared but
+    read by no computation (see the module docstring).  ``generators`` is the
     generating set G that Light's test picked during validation: every
     element is a product of elements of G.  It and the ``@derived``
     structure (Green classes, natural order, idempotents, zeros, ...) are

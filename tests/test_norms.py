@@ -1,5 +1,5 @@
-"""Norm tables, the exhaustive submultiplicativity check, built-in
-families, the envelope repair, and the random generator.
+"""Norm tables, the exhaustive submultiplicativity check, the envelope
+repair, and the random generator.
 
 Frozen envelope oracles, derived by hand:
 
@@ -19,15 +19,12 @@ from fractions import Fraction
 import pytest
 
 from semnorms import (
-    NormConstructionError,
     NormDomainError,
     NormTable,
     ParseError,
     FiniteSemigroup,
-    builtin_norm,
     builtin_semigroup,
     check_submultiplicative,
-    exp_approx,
     load_norm_table,
     parse_norm_text,
     random_submultiplicative_norms,
@@ -123,71 +120,6 @@ def test_verdict_to_jsonable():
 def test_zero_set():
     s = builtin_semigroup("null4")
     assert zero_set(s, [0, 1, 0, 2]) == {0, 2}
-
-
-# ---------------------------------------------------------------------------
-# built-in families
-
-
-def test_zero_and_one_need_no_labels():
-    s = builtin_semigroup("t2")
-    assert builtin_norm(s, "zero") == NormTable.constant(4, 0)
-    assert builtin_norm(s, "one") == NormTable.constant(4, 1)
-
-
-def test_label_families_require_labels():
-    with pytest.raises(ValueError, match="needs element labels"):
-        builtin_norm(builtin_semigroup("z2"), "abs")
-
-
-def test_unknown_family():
-    with pytest.raises(ValueError, match="unknown norm family"):
-        builtin_norm(builtin_semigroup("z2"), "huge")
-
-
-def test_abs_family_passes_its_guard():
-    s = FiniteSemigroup(((0, 1), (1, 0)), labels=(1, -1))
-    assert builtin_norm(s, "abs") == NormTable([1, 1])
-
-
-def test_abs_family_guard_failure():
-    s = FiniteSemigroup(((0, 1), (1, 0)), labels=(1, HALF))
-    with pytest.raises(NormConstructionError, match="'abs' is not submultiplicative"):
-        builtin_norm(s, "abs")
-
-
-def test_exp_family_on_zero_labels():
-    s = FiniteSemigroup(((0, 1), (1, 0)), labels=(0, 0))
-    assert builtin_norm(s, "exp") == NormTable([1, 1])
-
-
-def test_exp_family_guard_failure():
-    # exp(-1) is below 1, so the identity violates value(1*1) <= value(1)^2.
-    s = FiniteSemigroup(((0, 1), (1, 0)), labels=(0, -1))
-    with pytest.raises(NormConstructionError):
-        builtin_norm(s, "exp")
-
-
-def test_exp_abs_family_repairs_the_sign():
-    s = FiniteSemigroup(((0, 1), (1, 0)), labels=(0, -1))
-    norm = builtin_norm(s, "exp_abs")
-    assert norm[0] == 1
-    assert norm[1] == exp_approx(1)
-
-
-def test_exp_approx_basics():
-    assert exp_approx(0) == 1
-    e = exp_approx(1)
-    assert Fraction(2718, 1000) < e < Fraction(2719, 1000)
-    assert exp_approx(-1) == 1 / e
-
-
-def test_exp_approx_truncation_is_submultiplicative_friendly():
-    # Cauchy products of nonnegative partial sums dominate the partial
-    # sum of the product series, which is what the guard relies on.
-    for x in range(3):
-        for y in range(3):
-            assert exp_approx(x + y) <= exp_approx(x) * exp_approx(y)
 
 
 # ---------------------------------------------------------------------------
