@@ -1,6 +1,6 @@
 """Shared exception types, the immutable base of the value classes, the
-tokenizer the three text formats share, and the two input vocabularies
-the command line offers.
+readers of one word of a text format, and the two input vocabularies the
+command line offers.
 
 This module imports nothing heavier than ``fractions``, so the command
 line can build its argument parser before it loads any kernel.
@@ -9,7 +9,6 @@ line can build its argument parser before it loads any kernel.
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
 from fractions import Fraction
 
 # The values ``norms.random_submultiplicative_norms`` draws from by default.
@@ -90,70 +89,35 @@ def exact_text(value: Fraction, what: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Tokens.
+# Words of a line.  The three text formats are read a line at a time, cut
+# into words by ``line.split()``: it cuts at the whitespace the regular
+# expression ``\S+`` skips, so a word's column is a regex tokenizer's.
 
 
-class Tokens:
-    """The whitespace-separated tokens of some lines of a text, in reading
-    order, as ``str.split()`` cuts them.
+def column(line: str, k: int) -> int:
+    """The 1-based column of the ``k``-th word (from 0) of ``line``."""
+    return len(line) - len(line.split(None, k)[-1]) + 1
 
-    Per line only its number, its text and the index of its first token
-    are kept; the column of a token is worked out when it is reported, by
-    splitting its line again.  ``str.split()`` and the regular expression
-    ``\\S+`` cut at the same whitespace characters, so the columns are the
-    ones a regex tokenizer would give.
-    """
 
-    def __init__(self):
-        self.items: list[str] = []
-        self._starts: list[int] = []  # index in items of each line's first token
-        self._lines: list[tuple[int, str, int]] = []  # (line number, line, offset)
+def word_value(value_of, line_no: int, line: str, words: list[str], k: int, what=None):
+    """``value_of(words[k])``, where ``words`` are the words of ``line``.
+    ``value_of`` raises ValueError with the message to report, or
+    ``expected <what>, got <word>`` when ``what`` is given; the message is
+    raised as a ParseError at the word."""
+    try:
+        return value_of(words[k])
+    except ValueError as exc:
+        message = f"expected {what}, got {words[k]!r}" if what else str(exc)
+        raise ParseError(message, line_no, column(line, k)) from None
 
-    def add(self, line_no: int, line: str, words: list[str], offset: int = 0) -> None:
-        """Append ``words``, the tokens of ``line[offset:]``."""
-        if words:
-            self._starts.append(len(self.items))
-            self._lines.append((line_no, line, offset))
-            self.items.extend(words)
 
-    def first_line(self, default: int) -> int:
-        """The line of the first token, or ``default`` when there is none."""
-        return self._lines[0][0] if self._lines else default
-
-    def error(self, message: str, index: int) -> ParseError:
-        """A ParseError at the line and column of ``items[index]``."""
-        k = bisect_right(self._starts, index) - 1
-        line_no, line, offset = self._lines[k]
-        rest = line[offset:].split(None, index - self._starts[k])[-1]
-        return ParseError(message, line_no, len(line) - len(rest) + 1)
-
-    def ints(self, start: int = 0, stop: int | None = None, what: str = "an integer") -> list[int]:
-        """``int`` of each of ``items[start:stop]``; the first token that is
-        not an integer raises ``expected <what>, got <token>``."""
-        try:
-            return list(map(int, self.items[start:stop]))
-        except ValueError:
-            pass
-
-        def integer(token):
-            try:
-                return int(token)
-            except ValueError:
-                raise ValueError(f"expected {what}, got {token!r}") from None
-
-        return self.convert(integer, start, stop)
-
-    def convert(self, value_of, start: int = 0, stop: int | None = None) -> list:
-        """``value_of`` each of ``items[start:stop]``.  ``value_of`` raises
-        ValueError with the message to report; the first token it rejects
-        raises that message as a ParseError at the token."""
-        out = []
-        for index, token in enumerate(self.items[start:stop], start):
-            try:
-                out.append(value_of(token))
-            except ValueError as exc:
-                raise self.error(str(exc), index) from None
-        return out
+def spots(lines: list[str], first: int = 1):
+    """``(line number, line, words, k)`` of each word ``words[k]`` of
+    ``lines`` in reading order, the lines numbered from ``first``."""
+    for line_no, line in enumerate(lines, first):
+        words = line.split()
+        for k in range(len(words)):
+            yield line_no, line, words, k
 
 
 # The literals ``Fraction`` accepts: a sign, then digits over digits, or

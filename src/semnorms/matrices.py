@@ -25,7 +25,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import Immutable, ParseError, Tokens, printable_count, rational
+from .errors import Immutable, ParseError, column, printable_count, rational, spots, word_value
 
 
 class RatMatrix(Immutable):
@@ -701,26 +701,28 @@ def random_rational_matrix(rng, rows: int, cols: int) -> RatMatrix:
 
 
 def parse_matrix_text(text: str) -> RatMatrix:
+    """Read a line at a time; the entries are counted before any is
+    converted.  So the errors are those of a reader of every token first,
+    in its order: missing or bad dimensions, the count, the first bad entry."""
     lines = text.splitlines()
-    last_line = max(len(lines), 1)
-    tokens = Tokens()
-    for line_no, line in enumerate(lines, start=1):
-        tokens.add(line_no, line, line.split())
-    if len(tokens.items) < 2:
-        raise ParseError("missing matrix dimensions", last_line, 1)
-    (rows,) = tokens.ints(0, 1, what="row count")
-    (cols,) = tokens.ints(1, 2, what="column count")
+    dims = list(itertools.islice(spots(lines), 2))
+    if len(dims) < 2:
+        raise ParseError("missing matrix dimensions", max(len(lines), 1), 1)
+    rows = word_value(int, *dims[0], what="row count")
+    cols = word_value(int, *dims[1], what="column count")
     if rows < 1 or cols < 1:
-        raise tokens.error("matrix dimensions must be positive", 0)
-    found = len(tokens.items) - 2
+        line_no, line, _, k = dims[0]
+        raise ParseError("matrix dimensions must be positive", line_no, column(line, k))
+    found = sum(len(line.split()) for line in lines) - 2
     if found != rows * cols:
         raise ParseError(
             f"expected {printable_count(rows * cols)} entries for a {rows}x{cols} matrix, "
             f"found {found}",
-            last_line,
+            len(lines),
             1,
         )
-    return RatMatrix(rows, cols, tuple(tokens.convert(rational, 2)))
+    entries = itertools.islice(spots(lines), 2, None)
+    return RatMatrix(rows, cols, tuple(word_value(rational, *spot) for spot in entries))
 
 
 def load_matrix(path) -> RatMatrix:

@@ -20,8 +20,8 @@ from .errors import (
     Immutable,
     NormDomainError,
     ParseError,
-    Tokens,
     rational,
+    word_value,
 )
 from .semigroups import FiniteSemigroup, idempotents
 
@@ -485,17 +485,15 @@ def random_submultiplicative_norms(
 
 
 def parse_norm_text(text: str) -> NormTable:
-    tokens = Tokens()
-    crowded = None
+    """Read a line at a time: the first line with more than one word, or
+    with a value that is not a nonnegative rational, raises ParseError."""
+    values = []
     for line_no, line in enumerate(text.splitlines(), start=1):
         words = line.split()
         if len(words) > 1:
-            crowded = line_no
-            break
-        tokens.add(line_no, line, words)
-    values = tokens.convert(_norm_value)
-    if crowded is not None:
-        raise ParseError("expected one value per line", crowded, 1)
+            raise ParseError("expected one value per line", line_no, 1)
+        if words:
+            values.append(word_value(_norm_value, line_no, line, words, 0))
     return NormTable(values)
 
 

@@ -21,8 +21,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .green import green_structure
-from .order import natural_order
 from .norms import _coerce, check_submultiplicative, zero_set
 from .semigroups import (
     FiniteSemigroup,
@@ -83,7 +81,8 @@ def _scan_zero_set_closed(s, norm):
 
 
 def _mixed(v) -> bool:
-    """Whether ``v`` holds a zero and a nonzero value."""
+    """Whether ``v`` holds a zero and a nonzero value.  P4 and P8 read
+    Green classes and the natural order, and import them, only then."""
     return not all(v) and any(v)
 
 
@@ -92,6 +91,7 @@ def _scan_zero_spreads_over_d_class(s, norm):
     # A class holding a zero and a nonzero value needs both in the table.
     if not _mixed(v):
         return PropositionVerdict("P4", PASS)
+    from .green import green_structure
     for part in green_structure(s).d_classes:
         block = sorted(part)
         zeros = [a for a in block if v[a] == 0]
@@ -159,6 +159,7 @@ def _scan_order_zero_downward(s, norm):
     # A violation pairs a zero value(b) with a nonzero value(a).
     if not _mixed(v):
         return PropositionVerdict("P8", PASS)
+    from .order import natural_order
     violations = [(a, b) for a, b in natural_order(s).pairs if v[b] == 0 and v[a] != 0]
     if violations:
         a, b = min(violations)

@@ -18,9 +18,11 @@ from .errors import (
     Immutable,
     InvalidSemigroupError,
     ParseError,
-    Tokens,
+    column,
     printable_count,
     rational,
+    spots,
+    word_value,
 )
 
 
@@ -358,59 +360,89 @@ def parse_cayley_text(text: str) -> tuple[list[list[int]], list[Fraction] | None
     Purely syntactic: the result may still fail ``validate``.  Blank lines
     are ignored.  Raises ParseError with 1-based line and column.
 
-    Table entries are looked up among the spellings ``str(i)`` of 0 to
-    n - 1, on which ``int`` gives i.  If any token misses the lookup (a
-    leading zero or sign, another script's digits, an out-of-range value
-    or no integer at all), every entry goes through ``int`` instead, which
-    decides the values and the error as before.
+    The text is read a line at a time, and a row is kept once its n entries
+    are read, wherever the lines break.  The errors are those of a reader
+    of every token first, in its order: a missing or bad order, the entry
+    count, the first extra token, the first entry that is not an integer,
+    the label count and the first bad label.
+
+    Entries are looked up among the spellings ``str(i)`` of 0 to n - 1, on
+    which ``int`` gives i.  A line with a word the lookup misses (a leading
+    zero or sign, another script's digits, an out-of-range value or no
+    integer) goes through ``int``, which decides its values and its error.
+    A text shorter than n * n characters cannot hold n * n entries: its
+    words are only counted, and no lookup is built.
     """
     lines = text.splitlines()
     last_line = max(len(lines), 1)
-    table = Tokens()
-    labels: Tokens | None = None
+    n = lookup = labels_line = error = None
+    rows, row, found = [], [], 0  # row: the entries read after the last complete row
     for line_no, line in enumerate(lines, start=1):
         words = line.split()
         if not words:
             continue
-        if labels is None and words[0].startswith("labels:"):
-            labels = Tokens()
-            offset = line.index("labels:") + len("labels:")
-            labels.add(line_no, line, line[offset:].split(), offset)
-        else:
-            (table if labels is None else labels).add(line_no, line, words)
+        if words[0].startswith("labels:"):
+            labels_line = line_no
+            break
+        start = 0
+        if n is None:
+            n = word_value(int, line_no, line, words, 0, what="an integer")
+            if n <= 0:
+                raise ParseError(f"order must be positive, got {n}", line_no, column(line, 0))
+            lookup = {str(i): i for i in range(n)} if n * n <= len(text) else None
+            start = 1
+        count = len(words) - start
+        if found <= n * n < found + count:
+            k = start + n * n - found
+            error = ParseError(f"unexpected extra token {words[k]!r}", line_no, column(line, k))
+        found += count
+        if lookup is None or error:
+            continue
+        try:
+            entries = list(map(lookup.__getitem__, words[start:]))
+        except KeyError:
+            try:
+                entries = [
+                    word_value(int, line_no, line, words, k, what="an integer")
+                    for k in range(start, len(words))
+                ]
+            except ParseError as exc:
+                error = exc
+                continue
+        if not row and len(entries) == n:  # a row to a line
+            rows.append(entries)
+            continue
+        row += entries
+        full = len(row) - len(row) % n
+        rows += [row[i : i + n] for i in range(0, full, n)]
+        del row[:full]
 
-    if not table.items:
+    if n is None:
         raise ParseError("missing table order", last_line, 1)
-    (n,) = table.ints(0, 1)
-    if n <= 0:
-        raise table.error(f"order must be positive, got {n}", 0)
-    found = len(table.items) - 1
     if found < n * n:
         raise ParseError(
             f"expected {printable_count(n * n)} table entries, found {found}", last_line, 1
         )
-    if found > n * n:
-        raise table.error(f"unexpected extra token {table.items[n * n + 1]!r}", n * n + 1)
-    spellings = {str(i): i for i in range(n)}
-    try:
-        entries = list(map(spellings.__getitem__, table.items[1:]))
-    except KeyError:
-        entries = table.ints(1)
-    rows = [entries[i : i + n] for i in range(0, n * n, n)]
-
-    if labels is None:
+    if error:
+        raise error
+    if labels_line is None:
         return rows, None
-    if len(labels.items) != n:
-        raise ParseError(
-            f"expected {n} labels, found {len(labels.items)}",
-            labels.first_line(last_line),
-            1,
-        )
-    return rows, labels.convert(rational)
+    # The section runs from its line to the end.  Blanking that line up to
+    # the colon keeps every column where it was.
+    head = lines[labels_line - 1]
+    cut = head.index("labels:") + len("labels:")
+    section = [" " * cut + head[cut:], *lines[labels_line:]]
+    count = sum(len(line.split()) for line in section)
+    if count != n:
+        first = next(spots(section, labels_line))[0] if count else last_line
+        raise ParseError(f"expected {n} labels, found {count}", first, 1)
+    return rows, [word_value(rational, *spot) for spot in spots(section, labels_line)]
 
 
 def load_cayley_table(path) -> FiniteSemigroup:
-    """Read and validate a semigroup from a Cayley-table text file."""
+    """Read and validate a semigroup from a Cayley-table text file.  The
+    text is dropped once parsed, before the rows are copied into the
+    semigroup's table."""
     with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    return FiniteSemigroup(*parse_cayley_text(text))
+        parsed = parse_cayley_text(fh.read())
+    return FiniteSemigroup(*parsed)

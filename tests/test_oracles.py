@@ -22,6 +22,7 @@ import math
 import random
 import re
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -1504,6 +1505,35 @@ def test_table_entry_lookup_equals_int(token):
         assert parsed[0] == "error"
     else:
         assert parsed == ("ok", ([[0, 1], [1, value]], None))
+
+
+# Orders of errors the draws seldom reach: the entry count before a bad
+# entry or an extra token, the labels after the table, and in a norm file
+# whichever bad line comes first.
+@pytest.mark.parametrize(
+    "parse, reference, text, message",
+    [
+        (parse_cayley_text, ref_cayley, "2\n0 x\n1\n", "expected 4 table entries, found 3"),
+        (parse_cayley_text, ref_cayley, "1\nx 0\n", "unexpected extra token '0'"),
+        (parse_cayley_text, ref_cayley, "1\n0\nlabels: x y\n", "expected 1 labels, found 2"),
+        # The labels swallow the last row.
+        (parse_cayley_text, ref_cayley, "2\n0 1\nlabels: 1\n1 0\n", "expected 4 table entries, found 2"),
+        (parse_matrix_text, ref_matrix, "2 2\nx 1 2\n", "expected 4 entries for a 2x2 matrix, found 3"),
+        (parse_norm_text, ref_norm, "x\n1 2\n", "expected a rational"),
+        (parse_norm_text, ref_norm, "1 2\nx\n", "expected one value per line"),
+        # Too short a text for n * n entries: they are counted, and no
+        # lookup of n spellings is built.
+        (parse_cayley_text, ref_cayley, "1000000000\n0\n", "expected 10" + "0" * 17 + " table entries"),
+    ],
+)
+def test_parse_error_order(parse, reference, text, message):
+    start = time.perf_counter()
+    parsed = outcome(parse, text)
+    assert time.perf_counter() - start < 0.1
+    assert parsed[0] == "error" and message in parsed[1]
+    # The reference returns a matrix's or a norm's fields, not the object;
+    # both raise here, so only the errors are compared.
+    assert parsed == outcome(reference, text)
 
 
 @settings(max_examples=400, deadline=None)

@@ -8,6 +8,7 @@ the assertions were written.
 import re
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -440,6 +441,21 @@ def test_parse_bounds_label_literals():
             parse_cayley_text(f"1\n0\nlabels:  {huge}\n")
         assert time.perf_counter() - start < 0.5
         assert (exc.value.line, exc.value.column) == (3, 10)
+
+
+def test_parse_keeps_rows_not_tokens():
+    # Read a line at a time, the parser holds the rows and one line's
+    # words, not a string per entry of the whole text.
+    t4 = full_transformation_monoid(4)
+    text = f"{t4.order}\n" + "".join(" ".join(map(str, row)) + "\n" for row in t4.table)
+    tracemalloc.start()
+    try:
+        rows, labels = parse_cayley_text(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (rows, labels) == ([list(row) for row in t4.table], None)
+    assert peak < 10 * len(text)
 
 
 def test_load_cayley_table(tmp_path):
