@@ -43,7 +43,6 @@ _EXPORTS = {
             "matrices",
             (
                 "MinorNormCheck",
-                "MinorNormParams",
                 "RatMatrix",
                 "WitnessPoint",
                 "WitnessReport",
@@ -58,7 +57,6 @@ _EXPORTS = {
                 "minor_norm",
                 "minor_norm_float",
                 "parse_matrix_text",
-                "random_rational_matrix",
                 "rank",
                 "witness_sequence",
             ),

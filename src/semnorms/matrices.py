@@ -334,7 +334,7 @@ def _minor_levels(a: RatMatrix, k: int) -> tuple[list[int], dict]:
     minors in the order of itertools.combinations(range(cols), k)."""
     if not isinstance(k, int) or not 0 < k <= min(a.rows, a.cols):
         raise ValueError(
-            f"compound order must satisfy 0 < k <= min(rows, cols), "
+            "the minor size must satisfy 0 < k <= min(rows, cols), "
             f"got k={k} for a {a.rows}x{a.cols} matrix"
         )
     scales, grid = _scaled_rows(a.to_rows())
@@ -381,42 +381,17 @@ def _laplace_level(level: dict, grid: list, cols: int, j: int, last: int) -> dic
     return grown
 
 
-class MinorNormParams(Immutable):
-    """Order of the ambient matrices and the minor size, 0 < k <= n."""
-
-    __slots__ = ("n", "k")
-
-    def __init__(self, n: int, k: int):
-        if not (isinstance(n, int) and isinstance(k, int)):
-            raise ValueError("n and k must be integers")
-        if n < 1:
-            raise ValueError(f"matrix order must be positive, got n={n}")
-        if not 0 < k <= n:
-            raise ValueError(f"minor size must satisfy 0 < k <= n, got k={k}, n={n}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "k", k)
-
-    def _key(self):
-        return self.n, self.k
-
-    def __repr__(self) -> str:
-        return f"MinorNormParams(n={self.n!r}, k={self.k!r})"
-
-    @property
-    def coefficient(self) -> int:
-        return math.comb(self.n, self.k)
-
-
 def minor_norm(a: RatMatrix, k: int) -> Fraction:
     """binom(n, k) times the largest |order-k minor| of a square matrix.
 
     It reads the integer minors of ``compound`` and builds one Fraction
     per k-subset of rows, from the largest |minor| on it: the minors on
-    one row set share the scale of those rows."""
+    one row set share the scale of those rows.  A matrix that is not
+    square, or k outside 0 < k <= n (``_minor_levels``), raises
+    ValueError."""
     _require_square(a)
-    params = MinorNormParams(a.rows, k)
     scales, level = _minor_levels(a, k)
-    return params.coefficient * max(
+    return math.comb(a.rows, k) * max(
         Fraction(max(map(abs, values)), math.prod(scales[r] for r in r_set))
         for r_set, values in level.items()
     )
@@ -623,9 +598,8 @@ def witness_sequence(n: int, k: int, m_max: int) -> WitnessReport:
     ValueError is raised before the first point when the run would take
     more than WORK_BUDGET steps.
     """
-    params = MinorNormParams(n, k)
-    if k >= n:
-        raise ValueError(f"need k strictly below n, got k={k}, n={n}")
+    if not (isinstance(n, int) and isinstance(k, int) and 0 < k < n):
+        raise ValueError(f"need integers n and k with 0 < k < n, got n={n!r}, k={k!r}")
     if m_max < 1:
         raise ValueError(f"m_max must be at least 1, got {m_max}")
     # Each point (and the limit) takes two compounds, a pseudoinverse (two
@@ -666,32 +640,12 @@ def witness_sequence(n: int, k: int, m_max: int) -> WitnessReport:
     return WitnessReport(
         n=n,
         k=k,
-        coefficient=params.coefficient,
+        coefficient=math.comb(n, k),
         points=tuple(points),
         limit_norm_value=limit_value,
         limit_rank=rank(limit),
         limit_in_nonzero_set=limit_value != 0,
         not_closed=not_closed,
-    )
-
-
-# The largest |p| and q of an entry p/q of ``random_rational_matrix``.
-_MAX_NUMERATOR = 9
-_MAX_DENOMINATOR = 4
-
-
-def random_rational_matrix(rng, rows: int, cols: int) -> RatMatrix:
-    """Entries p/q with |p| <= _MAX_NUMERATOR and 1 <= q <= _MAX_DENOMINATOR,
-    drawn from the supplied random.Random instance."""
-    return RatMatrix(
-        rows,
-        cols,
-        tuple(
-            Fraction(
-                rng.randint(-_MAX_NUMERATOR, _MAX_NUMERATOR), rng.randint(1, _MAX_DENOMINATOR)
-            )
-            for _ in range(rows * cols)
-        ),
     )
 
 

@@ -46,7 +46,7 @@ class ValidationReport(NamedTuple):
     """
 
     structural: tuple[str, ...] = ()
-    out_of_range: tuple[tuple[int, int, object], ...] = ()
+    out_of_range: tuple[tuple[int, int, int], ...] = ()
     non_associative: tuple[tuple[int, int, int], ...] = ()
 
     @property
@@ -78,8 +78,7 @@ class ValidationReport(NamedTuple):
             "valid": self.ok,
             "structural": list(self.structural),
             "out_of_range": [
-                {"row": r, "col": c, "value": repr(v) if not isinstance(v, int) else v}
-                for r, c, v in self.out_of_range
+                {"row": r, "col": c, "value": v} for r, c, v in self.out_of_range
             ],
             "non_associative": [{"i": i, "j": j, "k": k} for i, j, k in self.non_associative],
         }

@@ -23,9 +23,10 @@ from semnorms import (
     mat_mul,
     minor_norm,
     natural_order,
-    random_rational_matrix,
     rank,
 )
+
+from matrix_draws import random_rational_matrix
 
 SUITE = ("z2", "c4", "s3", "t2", "t3", "leftzero3", "null4")
 GROUPS = ("z2", "c4", "s3")

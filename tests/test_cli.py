@@ -573,7 +573,7 @@ def test_minor_norm_k_out_of_range(capsys, tmp_path):
     path.write_text("2 2\n1 0\n0 1\n")
     code, _, err = run_cli(capsys, "minor-norm", str(path), "--k", "5")
     assert code == 2
-    assert "0 < k <= n" in err
+    assert "0 < k <= min(rows, cols), got k=5 for a 2x2 matrix" in err
 
 
 def test_minor_norm_text_format(capsys, tmp_path):
@@ -651,7 +651,7 @@ def test_witness_json(capsys):
 def test_witness_rejects_k_equal_n(capsys):
     code, _, err = run_cli(capsys, "witness", "--n", "3", "--k", "3")
     assert code == 2
-    assert "strictly below" in err
+    assert "0 < k < n, got n=3, k=3" in err
 
 
 def test_witness_over_the_work_budget_exits_2_at_once(capsys):
@@ -669,6 +669,72 @@ def test_witness_text_format(capsys):
     )
     assert code == 0
     assert "NOT closed" in out
+
+
+# ---------------------------------------------------------------------------
+# failure reports: no law fails on a submultiplicative norm and every
+# witness run reaches its conclusion, so stand-ins make them fail
+
+
+@pytest.fixture
+def failing_p2(monkeypatch):
+    """P2's scan replaced by one that fails with a Fraction in its witness."""
+    from semnorms import propositions
+
+    def fails(s, norm):
+        return propositions.PropositionVerdict(
+            "P2", propositions.FAIL, witness=(0, Fraction(1, 2))
+        )
+
+    monkeypatch.setitem(propositions._SCANS, "P2", fails)
+
+
+def test_fuzz_reports_each_failing_law(capsys, failing_p2):
+    code, out = run_json(capsys, "fuzz", "z2", "--count", "2", "--seed", "1")
+    assert (code, out["pass"], out["verdict_counts"]["FAIL"]) == (1, False, 2)
+    assert [f["norm_index"] for f in out["failures"]] == [0, 1]
+    failure = out["failures"][0]
+    assert sorted(failure) == ["norm", "norm_index", "proposition", "status", "witness"]
+    assert (failure["proposition"], failure["status"]) == ("P2", "FAIL")
+    assert failure["witness"] == [0, "1/2"]
+    assert all(isinstance(v, str) for v in failure["norm"])
+    code, text, _ = run_cli(
+        capsys, "fuzz", "z2", "--count", "2", "--seed", "1", "--format", "text"
+    )
+    assert code == 1
+    assert "  result: FAIL" in text.splitlines()
+    assert f"  FAIL norm 0 {failure['norm']}: P2 witness [0, '1/2']" in text.splitlines()
+
+
+def test_norm_check_reports_a_failing_law(capsys, tmp_path, failing_p2):
+    norm = tmp_path / "one.txt"
+    norm.write_text("1\n1\n")
+    code, out = run_json(capsys, "norm-check", "z2", str(norm))
+    assert (code, out["pass"], out["submultiplicative"]["ok"]) == (1, False, True)
+    assert out["propositions"][0] == {"proposition": "P2", "status": "FAIL", "witness": [0, "1/2"]}
+    code, text, _ = run_cli(capsys, "norm-check", "z2", str(norm), "--format", "text")
+    assert code == 1
+    lines = text.splitlines()
+    assert lines[0] == f"norm {norm} on z2: FAIL"
+    assert "  P2: FAIL witness [0, '1/2']" in lines
+
+
+def test_witness_without_its_conclusion_exits_1(capsys, monkeypatch):
+    from semnorms import matrices
+
+    sequence = matrices.witness_sequence
+    monkeypatch.setattr(
+        matrices,
+        "witness_sequence",
+        lambda n, k, m_max: sequence(n, k, m_max)._replace(not_closed=False),
+    )
+    code, out = run_json(capsys, "witness", "--n", "2", "--k", "1", "--m-max", "2")
+    assert (code, out["not_closed"]) == (1, False)
+    code, text, _ = run_cli(
+        capsys, "witness", "--n", "2", "--k", "1", "--m-max", "2", "--format", "text"
+    )
+    assert code == 1
+    assert text.splitlines()[-1] == "  conclusion flag not established"
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ import pytest
 
 from semnorms import (
     MinorNormCheck,
-    MinorNormParams,
     ParseError,
     RatMatrix,
     cauchy_binet,
@@ -31,11 +30,12 @@ from semnorms import (
     minor_norm,
     minor_norm_float,
     parse_matrix_text,
-    random_rational_matrix,
     rank,
     witness_sequence,
 )
 from semnorms.matrices import WORK_BUDGET
+
+from matrix_draws import random_rational_matrix
 
 
 def laplace_det(rows):
@@ -182,31 +182,12 @@ def test_minor_subset_validation():
 # the order-k norms
 
 
-def test_params_validation_and_coefficient():
-    assert MinorNormParams(5, 2).coefficient == 10
-    assert MinorNormParams(4, 4).coefficient == 1
-    with pytest.raises(ValueError, match="0 < k <= n"):
-        MinorNormParams(3, 0)
-    with pytest.raises(ValueError, match="0 < k <= n"):
-        MinorNormParams(3, 4)
-    with pytest.raises(ValueError, match="order must be positive"):
-        MinorNormParams(0, 0)
-    for n, k in ((3.0, 1), (3, "1")):
-        with pytest.raises(ValueError, match="n and k must be integers"):
-            MinorNormParams(n, k)
-
-
-def test_params_are_an_immutable_value():
-    p = MinorNormParams(n=5, k=2)
-    assert p == MinorNormParams(5, 2) and hash(p) == hash(MinorNormParams(5, 2))
-    assert p != MinorNormParams(5, 3) and p != (5, 2)
-    assert repr(p) == "MinorNormParams(n=5, k=2)"
-    for name in ("n", "k", "coefficient", "extra"):
-        with pytest.raises(AttributeError):
-            setattr(p, name, 1)
-        with pytest.raises(AttributeError):
-            delattr(p, name)
-    assert (p.n, p.k) == (5, 2)
+def test_minor_norm_coefficient_and_k_range():
+    assert minor_norm(RatMatrix.identity(5), 2) == 10
+    assert minor_norm(RatMatrix.identity(4), 4) == 1
+    for k in (0, -1, 4, 3.0, "1", None):
+        with pytest.raises(ValueError, match="0 < k <= min"):
+            minor_norm(RatMatrix.identity(3), k)
 
 
 def test_minor_norm_frozen_values():
@@ -421,10 +402,9 @@ def test_witness_sequence_small_order():
 
 
 def test_witness_sequence_validation():
-    with pytest.raises(ValueError, match="strictly below"):
-        witness_sequence(3, 3, 5)
-    with pytest.raises(ValueError, match="0 < k <= n"):
-        witness_sequence(3, 0, 5)
+    for n, k in ((3, 3), (3, 0), (3, 4), (0, 0), (1, 1), (3.0, 1), (3, "1")):
+        with pytest.raises(ValueError, match="0 < k < n"):
+            witness_sequence(n, k, 5)
     with pytest.raises(ValueError, match="m_max"):
         witness_sequence(3, 1, 0)
 

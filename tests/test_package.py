@@ -15,6 +15,7 @@ import pytest
 
 import semnorms
 from semnorms import parse_cayley_text, parse_matrix_text, parse_norm_text, validate
+from semnorms.cli import main
 
 
 def fresh(code):
@@ -129,3 +130,32 @@ def test_readme_library_example_prints_what_it_says(capsys):
         "4",
         "True",
     ]
+
+
+def test_readme_command_lines_exit_as_pinned(capsys, monkeypatch, tmp_path):
+    """Each line of the README's Command line block, run in a directory
+    that holds its File formats examples as table.txt, norm.txt and
+    matrix.txt."""
+    names = {"Cayley table": "table.txt", "Norm table": "norm.txt", "Matrix": "matrix.txt"}
+    for label, text in readme_format_examples():
+        (tmp_path / names[label]).write_text(text + "\n", encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    block = readme_section("## Command line").split("```\n")[1]
+    codes = {}
+    for line in block.splitlines():
+        program, *argv = line.split()
+        assert program == "semnorms"
+        codes[" ".join(argv)] = main(argv)
+    capsys.readouterr()
+    assert codes == {
+        "validate t2": 0,
+        "validate table.txt": 0,
+        "analyze t3": 0,
+        "norm-check z2 norm.txt": 0,
+        "norm-check z2 norm.txt --notation additive": 0,
+        "fuzz t3 --count 50 --seed 1": 0,
+        "fuzz null4 --count 20 --pool 0,1,3": 0,
+        "minor-norm matrix.txt --k 2": 0,
+        "minor-norm matrix.txt --k 2 --mode float": 0,
+        "witness --n 3 --k 1 --m-max 10": 0,
+    }
