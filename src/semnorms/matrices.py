@@ -587,6 +587,19 @@ class WitnessReport(NamedTuple):
         }
 
 
+def _boundary_point(n: int, k: int, m: int) -> tuple[RatMatrix, RatMatrix]:
+    """x_m and its Moore-Penrose inverse g = diag(m I_k, 0), in closed
+    form.  Products of diagonal matrices are diagonal, hence symmetric,
+    so of the four Penrose identities x g x = x and g x g = g are left,
+    and they are checked entry by entry on the two diagonals."""
+    zeros = [Fraction(0)] * (n - k)
+    xd = [Fraction(1, m)] * k + zeros
+    gd = [Fraction(m)] * k + zeros
+    if not all(a * b * a == a and b * a * b == b for a, b in zip(xd, gd)):
+        raise RuntimeError("generalized inverse failed its defining identities")
+    return RatMatrix.diagonal(xd), RatMatrix.diagonal(gd)
+
+
 def witness_sequence(n: int, k: int, m_max: int) -> WitnessReport:
     """Evaluate the boundary sequence for 0 < k < n up to m = m_max.
 
@@ -600,20 +613,22 @@ def witness_sequence(n: int, k: int, m_max: int) -> WitnessReport:
     """
     if not (isinstance(n, int) and isinstance(k, int) and 0 < k < n):
         raise ValueError(f"need integers n and k with 0 < k < n, got n={n!r}, k={k!r}")
+    if not isinstance(m_max, int):
+        raise ValueError(f"m_max must be an integer, got {m_max!r}")
     if m_max < 1:
         raise ValueError(f"m_max must be at least 1, got {m_max}")
-    # Each point (and the limit) takes two compounds, a pseudoinverse (two
-    # eliminations and six integer products) and a rank, which 30 * n**3
-    # steps cover, and 400 more steps cover building the point.
+    # Each point (and the limit) takes two compounds and a rank, and 400
+    # steps cover building the point.  The 30 * n**3 steps were sized for
+    # a pseudoinverse by elimination (two eliminations and six integer
+    # products) and over-count the O(n) closed form of ``_boundary_point``.
     per_point = 2 * _compound_steps(n, n, k) + 30 * n**3 + 400
     _check_work_budget(
         (m_max + 1) * per_point, f"the witness sequence for n={n}, k={k}, m_max={m_max}"
     )
     points = []
     for m in range(1, m_max + 1):
-        x = RatMatrix.diagonal([Fraction(1, m)] * k, n)
+        x, g = _boundary_point(n, k, m)
         value = minor_norm(x, k)
-        g = generalized_inverse(x)
         g_value = minor_norm(g, k)
         points.append(
             WitnessPoint(

@@ -256,11 +256,11 @@ def submultiplicative_envelope(s: FiniteSemigroup, values) -> NormTable:
     on integers: each value is a lowest-terms numerator and denominator,
     a candidate is compared by cross-multiplying, as in
     check_submultiplicative, and a gcd is taken only when a value is
-    written.  With n = s.order and R = ceil(log2 n) = (n - 1).bit_length(),
-    every write in the first R rounds is exact, from round R + 1 on a
-    value that still falls is written as 0, and the loop ends at the
-    first round in which nothing changes.  Three arguments make that
-    exact and bounded.
+    written.  Every round writes exact values.  With n = s.order and
+    R = ceil(log2 n) = (n - 1).bit_length(), ``_envelope_rounds`` then
+    writes 0 over every value that a round numbered above R lowered, in
+    one pass over the n values, and the loop ends at the first round in
+    which nothing changes.  Four arguments make that exact and bounded.
 
     - Excision.  A factorization with more than n factors has two equal
       prefix products.  Call the factors between them a segment; cutting
@@ -278,7 +278,9 @@ def submultiplicative_envelope(s: FiniteSemigroup, values) -> NormTable:
       submultiplicative.  After R rounds, 2**R >= n, so every nonzero
       I(a) has been reached and no candidate can go below it; a value
       that falls in a later round was therefore above I(a), so I(a) = 0
-      and writing 0 is exact.  A round with no change leaves
+      and writing 0 over it is exact.  That pass in ``_envelope_rounds``
+      is the rule's one place: the round functions write exact values
+      whatever the round.  A round with no change leaves
       value(a*b) <= value(a)*value(b) for every pair: a submultiplicative
       table below the input, hence at most I, and not below I, hence I.
     - Pumped idempotents.  After each round, every idempotent e whose
@@ -291,12 +293,15 @@ def submultiplicative_envelope(s: FiniteSemigroup, values) -> NormTable:
       e*e = e, and one that leaves a round so valued was written in it.
       Without the rule such a value keeps squaring through all R exact
       rounds, its integers doubling in length each round.
-    - Bounded work.  After round R only zeros are written, and each
-      round that changes anything writes at least one new zero, so at
-      most n more rounds change anything and the loop runs at most
-      R + n + 1 rounds of n**2 candidates.  Every stored nonzero value
-      is a product of at most 2**R < 2n input values, which bounds the
-      size of every integer.
+    - Bounded work.  After round R the pass in ``_envelope_rounds``
+      turns every value a round lowered into 0, so each round that
+      changes anything ends with at least one new zero, at most n more
+      rounds change anything, and the loop runs at most R + n + 1 rounds
+      of n**2 candidates.  Every stored nonzero value is a product of at
+      most 2**R < 2n input values, which bounds the size of every
+      integer.  An exact write in a later round is a product of two
+      stored values, of at most 2**(R + 1) inputs, and lasts only until
+      the pass at the end of its round.
 
     A round runs by value classes when the table has at most n / 4
     distinct values (``_value_classes``, ``_class_round``), and over every
@@ -316,7 +321,9 @@ def submultiplicative_envelope(s: FiniteSemigroup, values) -> NormTable:
 def _envelope_rounds(s: FiniteSemigroup, values) -> tuple[NormTable, int]:
     """``submultiplicative_envelope`` and the number of rounds it ran.
     Each round runs by value classes or by pairs, chosen from that
-    round's number of distinct values (``_value_classes``)."""
+    round's number of distinct values (``_value_classes``), and writes
+    exact values; after a round numbered above R, every value it lowered
+    is written as 0 here, and then every idempotent valued in (0, 1)."""
     norm = _coerce(s, values)
     num, den = _numerators_denominators(norm.values)
     exact_rounds = (s.order - 1).bit_length()
@@ -326,9 +333,13 @@ def _envelope_rounds(s: FiniteSemigroup, values) -> tuple[NormTable, int]:
         new_num, new_den = list(num), list(den)
         classes = _value_classes(num, den, _ROUND_SHARE)
         if classes is None:
-            changed = _pair_round(s.table, num, den, new_num, new_den, rounds <= exact_rounds)
+            changed = _pair_round(s.table, num, den, new_num, new_den)
         else:
-            changed = _class_round(s.table, classes, new_num, new_den, rounds <= exact_rounds)
+            changed = _class_round(s.table, classes, new_num, new_den)
+        if rounds > exact_rounds:
+            for c, (p, q) in enumerate(zip(new_num, new_den)):
+                if p * den[c] < num[c] * q:
+                    new_num[c], new_den[c] = 0, 1
         for e in idempotents(s):
             if 0 < new_num[e] < new_den[e]:
                 new_num[e], new_den[e] = 0, 1
@@ -339,10 +350,9 @@ def _envelope_rounds(s: FiniteSemigroup, values) -> tuple[NormTable, int]:
         num, den = new_num, new_den
 
 
-def _pair_round(table, num, den, new_num, new_den, exact: bool) -> bool:
+def _pair_round(table, num, den, new_num, new_den) -> bool:
     """One envelope round over every pair: value(a*b) falls to
-    value(a)*value(b) when that is lower (to 0 when not ``exact``).
-    Returns whether anything fell."""
+    value(a)*value(b) when that is lower.  Returns whether anything fell."""
     changed = False
     for a, row in enumerate(table):
         pa, qa = num[a], den[a]
@@ -350,15 +360,12 @@ def _pair_round(table, num, den, new_num, new_den, exact: bool) -> bool:
             p, q = pa * num[b], qa * den[b]
             if p * new_den[c] < new_num[c] * q:
                 changed = True
-                if exact:
-                    g = gcd(p, q)
-                    new_num[c], new_den[c] = p // g, q // g
-                else:
-                    new_num[c], new_den[c] = 0, 1
+                g = gcd(p, q)
+                new_num[c], new_den[c] = p // g, q // g
     return changed
 
 
-def _class_round(table, classes, new_num, new_den, exact: bool) -> bool:
+def _class_round(table, classes, new_num, new_den) -> bool:
     """The same round by value classes.  The class pairs (x, y) with
     x*y below the top value M are taken by increasing x*y (pairs with
     x*y >= M lower nothing, as every value is at most M).  The products
@@ -391,11 +398,8 @@ def _class_round(table, classes, new_num, new_den, exact: bool) -> bool:
             continue
         pending -= hits
         changed = True
-        if exact:
-            g = gcd(z, square)
-            p, q = z // g, square // g
-        else:
-            p, q = 0, 1
+        g = gcd(z, square)
+        p, q = z // g, square // g
         for c in hits:
             new_num[c], new_den[c] = p, q
     return changed

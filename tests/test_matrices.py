@@ -33,7 +33,7 @@ from semnorms import (
     rank,
     witness_sequence,
 )
-from semnorms.matrices import WORK_BUDGET
+from semnorms.matrices import WORK_BUDGET, _boundary_point
 
 from matrix_draws import random_rational_matrix
 
@@ -407,6 +407,22 @@ def test_witness_sequence_validation():
             witness_sequence(n, k, 5)
     with pytest.raises(ValueError, match="m_max"):
         witness_sequence(3, 1, 0)
+
+
+@pytest.mark.parametrize("m_max", [2.0, "3", None])
+def test_witness_sequence_refuses_a_non_integer_m_max(m_max):
+    with pytest.raises(ValueError, match="m_max must be an integer"):
+        witness_sequence(3, 1, m_max)
+
+
+def test_boundary_point_inverse_is_the_moore_penrose_inverse():
+    # The closed form diag(m I_k, 0) against the general elimination.
+    for n in range(2, 7):
+        for k in range(1, n):
+            for m in range(1, 6):
+                x, g = _boundary_point(n, k, m)
+                assert x == RatMatrix.diagonal([Fraction(1, m)] * k, n)
+                assert g == generalized_inverse(x)
 
 
 def test_witness_sequence_refuses_work_over_the_budget():

@@ -61,7 +61,7 @@ from semnorms import (
     submultiplicative_envelope,
     validate,
 )
-from semnorms import matrices
+from semnorms import matrices, norms
 from semnorms.matrices import _eliminate
 from semnorms.norms import _envelope_rounds
 from semnorms.propositions import (
@@ -510,6 +510,59 @@ def test_envelope_zeroes_a_pumped_idempotent_in_the_first_round():
     assert rounds == 4 <= (s.order - 1).bit_length() + 2
     bound = bounded_infimum(s.table, values, 64)
     assert all(v == 0 or v == b for v, b in zip(envelope, bound))
+
+
+def group_with_absorbers(order):
+    """The cyclic group C_order on 0..order-1 and four more elements x, y,
+    c and z: x*g = x and g*y = y for every g in the group, x*y = c, and
+    every other product with an element outside the group is the zero z.
+    So c = x*e*y, but c*e = e*c = z for the identity e."""
+    x, y, c, z = order, order + 1, order + 2, order + 3
+
+    def product(a, b):
+        if a < order and b < order:
+            return (a + b) % order
+        if a == x and b < order:
+            return x
+        if a < order and b == y:
+            return y
+        return c if (a, b) == (x, y) else z
+
+    return [[product(a, b) for b in range(order + 4)] for a in range(order + 4)]
+
+
+def test_envelope_zeroes_every_value_lowered_after_round_r(monkeypatch):
+    # C_9 with x, y, c, z: n = 13, R = 4.  The generator 1 is valued 1/2,
+    # x and y 1, the rest 2**20, and every infimum is 0 (g = g*1**9,
+    # x = x*1, y = 1*y).  The identity e = 1**9 needs nine factors to go
+    # below 1, so it is pumped at the end of round R, and in round R + 1
+    # the zero reaches x = x*e, y = e*y and every g = e*g.  c = x*y has no
+    # factorization with e as a factor, so round R + 1 lowers it to
+    # x*y from round R's values, 2**-30, a product of 32 input values;
+    # only the pass after a post-R round writes 0 there.  Without it, c
+    # starts round R + 2 at 2**-30 and the envelope runs one more round.
+    table = group_with_absorbers(9)
+    s = FiniteSemigroup(table)
+    x, y, c = 9, 10, 11
+    values = [Fraction(2**20)] * s.order
+    values[1] = Fraction(1, 2)
+    values[x] = values[y] = Fraction(1)
+    starts = []
+    value_classes = norms._value_classes
+
+    def recording(num, den, share):
+        starts.append([Fraction(p, q) for p, q in zip(num, den)])
+        return value_classes(num, den, share)
+
+    monkeypatch.setattr(norms, "_value_classes", recording)
+    envelope, rounds = _envelope_rounds(s, values)
+    r = (s.order - 1).bit_length()
+    assert r == 4 and len(starts) == rounds >= r + 2
+    before, after = starts[r], starts[r + 1]
+    lowered = [a for a in s.elements() if after[a] < before[a]]
+    assert c in lowered and 0 < before[x] * before[y] < before[c]
+    assert [after[a] for a in lowered] == [0] * len(lowered)
+    assert (list(envelope), rounds) == reference_envelope_rounds(table, values)
 
 
 def reference_envelope_rounds(table, values):
