@@ -86,7 +86,7 @@ def cmd_validate(args) -> int:
 def cmd_analyze(args) -> int:
     from .green import green_structure
     from .order import natural_order
-    from .semigroups import idempotents, inverse_set, is_regular, zero_elements
+    from .semigroups import idempotents, inverse_sets, is_regular, zero_elements
 
     s = _load_semigroup(args.input)
     g = green_structure(s)
@@ -98,7 +98,7 @@ def cmd_analyze(args) -> int:
         "identity": s.identity(),
         "idempotents": sorted(idempotents(s)),
         "regular": is_regular(s),
-        "inverse_sets": {str(a): sorted(inverse_set(s, a)) for a in s.elements()},
+        "inverse_sets": {str(a): list(bs) for a, bs in enumerate(inverse_sets(s))},
         "zero_elements": {
             "left": sorted(zeros.left),
             "right": sorted(zeros.right),

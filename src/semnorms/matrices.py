@@ -71,13 +71,11 @@ class RatMatrix(Immutable):
         return cls(rows, cols, (Fraction(0),) * (rows * cols))
 
     @classmethod
-    def diagonal(cls, values: Sequence, n: int | None = None) -> "RatMatrix":
-        """Square matrix with ``values`` on the leading diagonal, padded
-        with zero rows/columns up to order n when n exceeds len(values)."""
+    def diagonal(cls, values: Sequence) -> "RatMatrix":
+        """Square matrix of order len(values) with ``values`` on the
+        leading diagonal and zeros elsewhere."""
         values = [Fraction(v) for v in values]
-        n = len(values) if n is None else n
-        if n < len(values):
-            raise ValueError("diagonal longer than requested order")
+        n = len(values)
         entries = [Fraction(0)] * (n * n)
         for i, v in enumerate(values):
             entries[i * n + i] = v
@@ -279,6 +277,12 @@ def _limbs(grid: list[list[int]]) -> int:
     return max(1, -(-bits // _LIMB_BITS))
 
 
+def _rank_steps(rows: int, cols: int) -> int:
+    """Steps of the elimination in ``rank``: RANK_STEP_WEIGHT for each of
+    its at most rows * cols * min(rows, cols) multiply-subtracts."""
+    return RANK_STEP_WEIGHT * rows * cols * min(rows, cols)
+
+
 def _compound_steps(rows: int, cols: int, k: int) -> int:
     """Steps of the Laplace program of ``compound``: j multiply-adds for
     each entry of size j, and about four more to turn each final entry
@@ -442,14 +446,13 @@ def rank(a: RatMatrix) -> int:
 
     The elimination does at most rows * cols * min(rows, cols)
     multiply-subtracts of entries that grow to the size of minors.  Each
-    counts RANK_STEP_WEIGHT steps times the machine digits of the largest
-    scaled entry (``_limbs``); ValueError is raised before it starts when
-    that is over WORK_BUDGET.
+    counts RANK_STEP_WEIGHT steps (``_rank_steps``) times the machine
+    digits of the largest scaled entry (``_limbs``); ValueError is raised
+    before it starts when that is over WORK_BUDGET.
     """
     _, grid = _scaled_rows(a.to_rows())
     _check_work_budget(
-        RANK_STEP_WEIGHT * a.rows * a.cols * min(a.rows, a.cols) * _limbs(grid),
-        f"the rank of a {a.rows}x{a.cols} matrix",
+        _rank_steps(a.rows, a.cols) * _limbs(grid), f"the rank of a {a.rows}x{a.cols} matrix"
     )
     return len(_eliminate(grid)[0])
 
@@ -617,11 +620,11 @@ def witness_sequence(n: int, k: int, m_max: int) -> WitnessReport:
         raise ValueError(f"m_max must be an integer, got {m_max!r}")
     if m_max < 1:
         raise ValueError(f"m_max must be at least 1, got {m_max}")
-    # Each point (and the limit) takes two compounds and a rank, and 400
-    # steps cover building the point.  The 30 * n**3 steps were sized for
-    # a pseudoinverse by elimination (two eliminations and six integer
-    # products) and over-count the O(n) closed form of ``_boundary_point``.
-    per_point = 2 * _compound_steps(n, n, k) + 30 * n**3 + 400
+    # Each point (and the limit) takes two compounds and a rank of
+    # matrices whose scaled entries are 0, 1 or m, one machine digit each,
+    # and 400 steps cover building the point and its closed-form
+    # pseudoinverse.
+    per_point = 2 * _compound_steps(n, n, k) + _rank_steps(n, n) + 400
     _check_work_budget(
         (m_max + 1) * per_point, f"the witness sequence for n={n}, k={k}, m_max={m_max}"
     )

@@ -408,9 +408,6 @@ def parse_cayley_text(text: str) -> tuple[list[list[int]], list[Fraction] | None
             except ParseError as exc:
                 error = exc
                 continue
-        if not row and len(entries) == n:  # a row to a line
-            rows.append(entries)
-            continue
         row += entries
         full = len(row) - len(row) % n
         rows += [row[i : i + n] for i in range(0, full, n)]

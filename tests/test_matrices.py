@@ -33,6 +33,7 @@ from semnorms import (
     rank,
     witness_sequence,
 )
+from semnorms import matrices
 from semnorms.matrices import WORK_BUDGET, _boundary_point
 
 from matrix_draws import random_rational_matrix
@@ -108,10 +109,8 @@ def test_from_rows_rejects_ragged():
 def test_identity_zeros_diagonal():
     assert RatMatrix.identity(2).to_rows() == [[1, 0], [0, 1]]
     assert RatMatrix.zeros(2, 3).to_rows() == [[0, 0, 0], [0, 0, 0]]
-    d = RatMatrix.diagonal([Fraction(1, 2)], 3)
+    d = RatMatrix.diagonal([Fraction(1, 2), 0, 0])
     assert d.to_rows() == [[Fraction(1, 2), 0, 0], [0, 0, 0], [0, 0, 0]]
-    with pytest.raises(ValueError, match="diagonal longer"):
-        RatMatrix.diagonal([1, 2], 1)
 
 
 def test_transpose():
@@ -195,7 +194,7 @@ def test_minor_norm_frozen_values():
     assert minor_norm(eye, 1) == 3
     assert minor_norm(eye, 2) == 3
     assert minor_norm(eye, 3) == 1
-    half = RatMatrix.diagonal([Fraction(1, 2)], 3)
+    half = RatMatrix.diagonal([Fraction(1, 2), 0, 0])
     assert minor_norm(half, 1) == Fraction(3, 2)
     assert minor_norm(half, 2) == 0
     assert minor_norm(RatMatrix.zeros(4), 2) == 0
@@ -237,7 +236,7 @@ def test_minor_norm_float_tracks_exact():
 
 def test_minor_norm_float_is_infinite_beyond_the_float_range():
     # Every entry is a float; only the norm, 10**400, is not.
-    a = RatMatrix.diagonal([Fraction(10**200)] * 2, 2)
+    a = RatMatrix.diagonal([Fraction(10**200)] * 2)
     assert minor_norm_float(a, 1) == 2e200
     assert minor_norm_float(a, 2) == math.inf
 
@@ -272,6 +271,21 @@ def test_submultiplicativity_check_passes_on_randoms():
     ]
     for k in (1, 2, 3):
         assert check_minor_norm_submultiplicative(pairs, k) == MinorNormCheck(True)
+
+
+def test_submultiplicativity_check_reports_the_first_violation(monkeypatch):
+    # No true pair violates the inequality, so a stand-in norm reports
+    # 5 > 1 * 1 on the product a b, which the second and third pairs both
+    # give; the check stops at the second.
+    a, b = RatMatrix.diagonal([1, 2]), RatMatrix.diagonal([3, 1])
+    bad = mat_mul(a, b)
+    monkeypatch.setattr(
+        matrices, "minor_norm", lambda m, k: Fraction(5) if m == bad else Fraction(1)
+    )
+    eye = RatMatrix.identity(2)
+    assert check_minor_norm_submultiplicative([(eye, eye), (a, b), (b, a)], 1) == (
+        MinorNormCheck(False, 1, (5, 1, 1))
+    )
 
 
 def test_submultiplicativity_check_rejects_bad_pairs():
@@ -421,14 +435,20 @@ def test_boundary_point_inverse_is_the_moore_penrose_inverse():
         for k in range(1, n):
             for m in range(1, 6):
                 x, g = _boundary_point(n, k, m)
-                assert x == RatMatrix.diagonal([Fraction(1, m)] * k, n)
+                assert x == RatMatrix.diagonal([Fraction(1, m)] * k + [0] * (n - k))
                 assert g == generalized_inverse(x)
 
 
 def test_witness_sequence_refuses_work_over_the_budget():
     assert refused_steps(witness_sequence, 40, 20, 10) >= 10 * math.comb(40, 20) ** 2
-    # Small orders: the per-point pseudoinverse and rank are counted too.
-    refused_steps(witness_sequence, 3, 1, WORK_BUDGET // 1000)
+
+
+def test_witness_sequence_budget_boundary():
+    # At small orders the rank and the point build dominate: a point (or
+    # the limit) at n = 3, k = 1 costs two compounds of 45 steps, a rank of
+    # 7 * 27 and 400, 679 in all, and 4418 * 679 is within the budget.
+    assert len(witness_sequence(3, 1, 4417).points) == 4417
+    assert refused_steps(witness_sequence, 3, 1, 4418) == 4419 * 679
 
 
 def test_witness_report_jsonable():

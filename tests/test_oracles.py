@@ -49,6 +49,7 @@ from semnorms import (
     left_zero_semigroup,
     mat_mul,
     minor,
+    minor_norm,
     natural_leq,
     natural_order,
     null_semigroup,
@@ -62,7 +63,7 @@ from semnorms import (
     validate,
 )
 from semnorms import matrices, norms
-from semnorms.matrices import _eliminate
+from semnorms.matrices import _boundary_point, _eliminate
 from semnorms.norms import _envelope_rounds
 from semnorms.propositions import (
     _scan_group_lower_bound,
@@ -1163,7 +1164,8 @@ def test_det_matches_sympy(a):
 # Points x_m = diag((1/m) I_k, 0) of the witness sequence, whose
 # pseudoinverse is diag(m I_k, 0).
 WITNESS_POINTS = tuple(
-    RatMatrix.diagonal([Fraction(1, m)] * k, n) for n, k, m in ((2, 1, 1), (3, 1, 4), (6, 3, 7))
+    RatMatrix.diagonal([Fraction(1, m)] * k + [0] * (n - k))
+    for n, k, m in ((2, 1, 1), (3, 1, 4), (6, 3, 7))
 )
 
 
@@ -1305,6 +1307,53 @@ def test_generalized_inverse_check_refuses_every_other_inner_inverse(case):
         else:
             with pytest.raises(RuntimeError, match="failed its defining identities"):
                 generalized_inverse(x)
+
+
+def fraction_sum(*terms):
+    """The entrywise sum of matrices given as rows of Fractions."""
+    return [[sum(entries) for entries in zip(*rows)] for rows in zip(*terms)]
+
+
+def identity_minus_product(a, b):
+    """I - a b, by the triple loop."""
+    return RatMatrix.from_rows([
+        [int(i == j) - e for j, e in enumerate(row)]
+        for i, row in enumerate(fraction_product(a, b))
+    ])
+
+
+@st.composite
+def witness_inner_inverses(draw):
+    """(n, k, m) of a witness point x = diag((1/m) I_k, 0) of order 2 to 6,
+    with U and V for b = g + (I - g x) U + V (I - x g), g = x^+; U and V
+    are zero in some draws, where b = g."""
+    n = draw(st.integers(2, 6))
+    k, m = draw(st.integers(1, n - 1)), draw(st.integers(1, 40))
+    u, v = (draw(st.one_of(st.just(RatMatrix.zeros(n)), rat_matrices(n, n))) for _ in "uv")
+    return n, k, m, u, v
+
+
+@settings(max_examples=60, deadline=None)
+@given(witness_inner_inverses())
+@example((6, 3, 7, RatMatrix.zeros(6), RatMatrix.zeros(6)))
+@example((4, 2, 3, RatMatrix.identity(4), RatMatrix.identity(4)))
+def test_every_inner_inverse_of_a_witness_point_meets_the_bound(case):
+    """Law P5 on the matrix side, for every inverse: a b with x b x = x has
+    m I_k as its top-left k x k block, so the order-k norm of b is at least
+    C(n, k) m^k, which the pseudoinverse g attains."""
+    n, k, m, u, v = case
+    x, g = _boundary_point(n, k, m)
+    b = RatMatrix.from_rows(fraction_sum(
+        g.to_rows(),
+        fraction_product(identity_minus_product(g, x), u),
+        fraction_product(v, identity_minus_product(x, g)),
+    ))
+    assert fraction_product(RatMatrix.from_rows(fraction_product(x, b)), x) == x.to_rows()
+    bound = math.comb(n, k) * m**k
+    assert minor_norm(g, k) == bound
+    assert minor_norm(b, k) >= bound
+    if u == v == RatMatrix.zeros(n):
+        assert b == g
 
 
 # ---------------------------------------------------------------------------
