@@ -13,7 +13,9 @@ integer Laplace program; the norm, its float rounding and the right side
 of Cauchy-Binet all read it.  ``_eliminate``, one Bareiss fraction-free
 elimination, gives ``det`` (and ``minor`` through it), ``rank``, and the
 pivots and Schur complement of ``generalized_inverse``; ``det`` is the
-independent reference the Laplace program is tested against.
+independent reference the Laplace program is tested against.  The witness
+sequence needs neither: its matrices are diagonal, and each norm and rank
+is read off the diagonal (``_diagonal_norm``).
 """
 
 from __future__ import annotations
@@ -25,7 +27,16 @@ from fractions import Fraction
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import Immutable, ParseError, column, printable_count, rational, spots, word_value
+from .errors import (
+    Immutable,
+    ParseError,
+    column,
+    exact_text,
+    printable_count,
+    rational,
+    spots,
+    word_value,
+)
 
 
 class RatMatrix(Immutable):
@@ -277,12 +288,6 @@ def _limbs(grid: list[list[int]]) -> int:
     return max(1, -(-bits // _LIMB_BITS))
 
 
-def _rank_steps(rows: int, cols: int) -> int:
-    """Steps of the elimination in ``rank``: RANK_STEP_WEIGHT for each of
-    its at most rows * cols * min(rows, cols) multiply-subtracts."""
-    return RANK_STEP_WEIGHT * rows * cols * min(rows, cols)
-
-
 def _compound_steps(rows: int, cols: int, k: int) -> int:
     """Steps of the Laplace program of ``compound``: j multiply-adds for
     each entry of size j, and about four more to turn each final entry
@@ -446,13 +451,14 @@ def rank(a: RatMatrix) -> int:
 
     The elimination does at most rows * cols * min(rows, cols)
     multiply-subtracts of entries that grow to the size of minors.  Each
-    counts RANK_STEP_WEIGHT steps (``_rank_steps``) times the machine
-    digits of the largest scaled entry (``_limbs``); ValueError is raised
-    before it starts when that is over WORK_BUDGET.
+    counts RANK_STEP_WEIGHT steps times the machine digits of the largest
+    scaled entry (``_limbs``); ValueError is raised before it starts when
+    that is over WORK_BUDGET.
     """
     _, grid = _scaled_rows(a.to_rows())
     _check_work_budget(
-        _rank_steps(a.rows, a.cols) * _limbs(grid), f"the rank of a {a.rows}x{a.cols} matrix"
+        RANK_STEP_WEIGHT * a.rows * a.cols * min(a.rows, a.cols) * _limbs(grid),
+        f"the rank of a {a.rows}x{a.cols} matrix",
     )
     return len(_eliminate(grid)[0])
 
@@ -590,17 +596,37 @@ class WitnessReport(NamedTuple):
         }
 
 
-def _boundary_point(n: int, k: int, m: int) -> tuple[RatMatrix, RatMatrix]:
-    """x_m and its Moore-Penrose inverse g = diag(m I_k, 0), in closed
-    form.  Products of diagonal matrices are diagonal, hence symmetric,
-    so of the four Penrose identities x g x = x and g x g = g are left,
-    and they are checked entry by entry on the two diagonals."""
+def _diagonal_norm(d: Sequence[Fraction], k: int) -> Fraction:
+    """The order-k norm of diag(d), in closed form: C(n, k) times the
+    product of the k largest |d_i|, for n = len(d) and 0 < k <= n.
+
+    Proof.  Take a k x k minor of diag(d) on rows R and columns C.  If
+    R != C, some r in R is not in C (|R| = |C|), and row r of the
+    submatrix is zero, since the only nonzero entry of row r of diag(d)
+    lies in column r; so the minor is 0.  If R = C, the submatrix is
+    diag(d_i, i in R), whose determinant is the product of those d_i.
+    Every |d_i| is at least 0, so the product of |d_i| over a k-subset is
+    largest on k largest |d_i|: exchanging a smaller one in for a larger
+    one out never raises it.  One Fraction is built, from the integer
+    products of their numerators and of their denominators."""
+    top = sorted(map(abs, d), reverse=True)[:k]
+    return math.comb(len(d), k) * Fraction(
+        math.prod(x.numerator for x in top), math.prod(x.denominator for x in top)
+    )
+
+
+def _boundary_point(n: int, k: int, m: int) -> tuple[list[Fraction], list[Fraction]]:
+    """The diagonals of x_m and of its Moore-Penrose inverse
+    g = diag(m I_k, 0), in closed form.  Products of diagonal matrices are
+    diagonal, hence symmetric, so of the four Penrose identities x g x = x
+    and g x g = g are left, and they are checked entry by entry on the two
+    diagonals."""
     zeros = [Fraction(0)] * (n - k)
     xd = [Fraction(1, m)] * k + zeros
     gd = [Fraction(m)] * k + zeros
     if not all(a * b * a == a and b * a * b == b for a, b in zip(xd, gd)):
         raise RuntimeError("generalized inverse failed its defining identities")
-    return RatMatrix.diagonal(xd), RatMatrix.diagonal(gd)
+    return xd, gd
 
 
 def witness_sequence(n: int, k: int, m_max: int) -> WitnessReport:
@@ -608,11 +634,15 @@ def witness_sequence(n: int, k: int, m_max: int) -> WitnessReport:
 
     k = n is rejected: there the sequence argument needs the zero rows
     below the block, so the strict inequality k < n is part of the
-    contract.  The conclusion flag is derived from the recorded facts
-    only: every point in the nonzero-norm set, values strictly
+    contract.  Every matrix here is diagonal, so each norm is the closed
+    form of ``_diagonal_norm`` and each rank the number of nonzero
+    diagonal entries.  The conclusion flag is derived from the recorded
+    facts only: every point in the nonzero-norm set, values strictly
     decreasing, and a limit of norm exactly 0 outside the set.
     ValueError is raised before the first point when the run would take
-    more than WORK_BUDGET steps.
+    more than WORK_BUDGET steps, or when a value of the report, the
+    largest being C(n, k) m_max^k and C(n, k)^2, is too long to print
+    (``exact_text``).
     """
     if not (isinstance(n, int) and isinstance(k, int) and 0 < k < n):
         raise ValueError(f"need integers n and k with 0 < k < n, got n={n!r}, k={k!r}")
@@ -620,32 +650,37 @@ def witness_sequence(n: int, k: int, m_max: int) -> WitnessReport:
         raise ValueError(f"m_max must be an integer, got {m_max!r}")
     if m_max < 1:
         raise ValueError(f"m_max must be at least 1, got {m_max}")
-    # Each point (and the limit) takes two compounds and a rank of
-    # matrices whose scaled entries are 0, 1 or m, one machine digit each,
-    # and 400 steps cover building the point and its closed-form
-    # pseudoinverse.
-    per_point = 2 * _compound_steps(n, n, k) + _rank_steps(n, n) + 400
+    # A point (and the limit) builds and checks two diagonals of n
+    # Fractions and reads a norm and a rank off each: 400 steps, and 40 per
+    # diagonal entry.  On a 2-core Xeon a point took 4 to 9 microseconds
+    # per entry at orders 256 to 37490, so the largest admitted runs take
+    # 0.2 to 0.6 s; the n term is what refuses a huge order before its
+    # diagonals are built.
     _check_work_budget(
-        (m_max + 1) * per_point, f"the witness sequence for n={n}, k={k}, m_max={m_max}"
+        (m_max + 1) * (400 + 40 * n),
+        f"the witness sequence for n={n}, k={k}, m_max={m_max}",
     )
+    coefficient = math.comb(n, k)
+    exact_text(Fraction(coefficient * m_max**k), f"the pseudoinverse norm at m={m_max}")
+    exact_text(Fraction(coefficient**2), "the product of the two norms")
     points = []
     for m in range(1, m_max + 1):
-        x, g = _boundary_point(n, k, m)
-        value = minor_norm(x, k)
-        g_value = minor_norm(g, k)
+        xd, gd = _boundary_point(n, k, m)
+        value = _diagonal_norm(xd, k)
+        g_value = _diagonal_norm(gd, k)
         points.append(
             WitnessPoint(
                 m=m,
                 norm_value=value,
-                matrix_rank=rank(x),
+                matrix_rank=sum(map(bool, xd)),
                 in_nonzero_set=value != 0,
                 pseudoinverse_norm=g_value,
                 inverse_bound_holds=value != 0 and g_value >= 1 / value,
                 product=value * g_value,
             )
         )
-    limit = RatMatrix.zeros(n, n)
-    limit_value = minor_norm(limit, k)
+    limit = [Fraction(0)] * n
+    limit_value = _diagonal_norm(limit, k)
     decreasing = all(
         earlier.norm_value > later.norm_value
         for earlier, later in zip(points, points[1:])
@@ -658,10 +693,10 @@ def witness_sequence(n: int, k: int, m_max: int) -> WitnessReport:
     return WitnessReport(
         n=n,
         k=k,
-        coefficient=math.comb(n, k),
+        coefficient=coefficient,
         points=tuple(points),
         limit_norm_value=limit_value,
-        limit_rank=rank(limit),
+        limit_rank=sum(map(bool, limit)),
         limit_in_nonzero_set=limit_value != 0,
         not_closed=not_closed,
     )

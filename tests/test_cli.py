@@ -656,11 +656,31 @@ def test_witness_rejects_k_equal_n(capsys):
 
 def test_witness_over_the_work_budget_exits_2_at_once(capsys):
     start = time.perf_counter()
-    code, out, err = run_cli(capsys, "witness", "--n", "40", "--k", "20")
+    code, out, err = run_cli(capsys, "witness", "--n", "80000", "--k", "40000")
     assert time.perf_counter() - start < 5
     assert (code, out) == (2, "")
     assert "over the budget" in err and "Traceback" not in err
-    assert int(re.search(r"about (\d+) steps", err).group(1)) >= 10 * math.comb(40, 20) ** 2
+    # Ten points and the limit, each touching two diagonals of 80000 entries.
+    assert int(re.search(r"about (\d+) steps", err).group(1)) >= 11 * 2 * 80000
+
+
+@pytest.mark.parametrize("n, k", [(11, 5), (12, 6), (16, 4)])
+def test_witness_reaches_its_conclusion_at_order_11_and_up(capsys, n, k):
+    code, out = run_json(capsys, "witness", "--n", str(n), "--k", str(k), "--m-max", "1")
+    assert code == 0
+    assert out["not_closed"] is True
+    assert out["points"][0]["norm_value"] == str(math.comb(n, k))
+
+
+def test_witness_values_too_long_to_print_exit_2_at_once(capsys):
+    # C(30000, 15000) has 9029 digits, which a report does not print on any
+    # Python version.
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "witness", "--n", "30000", "--k", "15000", "--m-max", "1")
+    assert time.perf_counter() - start < 5
+    assert (code, out) == (2, "")
+    assert "has more than 4300 digits" in err and "more than a report prints" in err
+    assert "Traceback" not in err
 
 
 def test_witness_text_format(capsys):
@@ -1001,8 +1021,9 @@ def test_repeated_invocations_print_identical_reports(capsys):
 FORMATS = ("json", "text", "xml")
 # Counts and sizes stay small so that an example runs in milliseconds:
 # ``fuzz`` admits thousands of draws on t3 before its work budget refuses
-# a count, while ``witness`` refuses large orders up front; the larger
-# values check both refusals.
+# a count, while ``witness`` runs order 40 with k = 20 in about a
+# millisecond at these m_max and refuses the 40-digit order up front; the
+# larger values check both refusals.
 SMALL = ("-1", "0", "1", "2", "3", "", "x", "1.5")
 OPTIONS = {
     "validate": {"--format": FORMATS},

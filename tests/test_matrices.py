@@ -434,21 +434,52 @@ def test_boundary_point_inverse_is_the_moore_penrose_inverse():
     for n in range(2, 7):
         for k in range(1, n):
             for m in range(1, 6):
-                x, g = _boundary_point(n, k, m)
+                x, g = map(RatMatrix.diagonal, _boundary_point(n, k, m))
                 assert x == RatMatrix.diagonal([Fraction(1, m)] * k + [0] * (n - k))
                 assert g == generalized_inverse(x)
 
 
 def test_witness_sequence_refuses_work_over_the_budget():
-    assert refused_steps(witness_sequence, 40, 20, 10) >= 10 * math.comb(40, 20) ** 2
+    # A point (or the limit) costs 400 + 40 n steps, whatever k is.
+    assert refused_steps(witness_sequence, 40, 20, 1500) == 1501 * 2000
+    assert refused_steps(witness_sequence, 80_000, 1, 1) == 2 * 3_200_400
+    start = time.perf_counter()
+    assert refused_steps(witness_sequence, 10**40 - 1, 20, 1) == 2 * (400 + 40 * (10**40 - 1))
+    assert time.perf_counter() - start < 1
 
 
 def test_witness_sequence_budget_boundary():
-    # At small orders the rank and the point build dominate: a point (or
-    # the limit) at n = 3, k = 1 costs two compounds of 45 steps, a rank of
-    # 7 * 27 and 400, 679 in all, and 4418 * 679 is within the budget.
-    assert len(witness_sequence(3, 1, 4417).points) == 4417
-    assert refused_steps(witness_sequence, 3, 1, 4418) == 4419 * 679
+    # At n = 2 a point costs 400 + 80 = 480 steps, and 6250 * 480 is the
+    # budget exactly.
+    assert len(witness_sequence(2, 1, 6249).points) == 6249
+    assert refused_steps(witness_sequence, 2, 1, 6250) == 6251 * 480
+
+
+def test_witness_sequence_refuses_values_too_long_to_print():
+    # C(30000, 15000) has 9029 digits; the run itself is within the budget.
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="more than 4300 digits"):
+        witness_sequence(30_000, 15_000, 1)
+    # At m_max = 1 the largest norm is C(9000, 4500), of 2708 digits, and
+    # only the product of the two norms, its square, is too long.
+    with pytest.raises(ValueError, match="the product of the two norms has more than 4300"):
+        witness_sequence(9_000, 4_500, 1)
+    assert time.perf_counter() - start < 1
+
+
+def test_witness_sequence_runs_no_general_kernel(monkeypatch):
+    # Every matrix of the sequence is diagonal: its norms and ranks are read
+    # off the diagonals, and no matrix is built.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a general kernel ran")
+
+    for name in ("minor_norm", "compound", "rank", "_minor_levels", "_eliminate"):
+        monkeypatch.setattr(matrices, name, refuse)
+    monkeypatch.setattr(RatMatrix, "__init__", refuse)
+    report = witness_sequence(12, 6, 2)
+    assert [p.norm_value for p in report.points] == [924, Fraction(924, 64)]
+    assert [p.matrix_rank for p in report.points] == [6, 6]
+    assert (report.limit_norm_value, report.limit_rank) == (0, 0)
 
 
 def test_witness_report_jsonable():

@@ -63,7 +63,7 @@ from semnorms import (
     validate,
 )
 from semnorms import matrices, norms
-from semnorms.matrices import _boundary_point, _eliminate
+from semnorms.matrices import _boundary_point, _diagonal_norm, _eliminate
 from semnorms.norms import _envelope_rounds
 from semnorms.propositions import (
     _scan_group_lower_bound,
@@ -1342,7 +1342,7 @@ def test_every_inner_inverse_of_a_witness_point_meets_the_bound(case):
     m I_k as its top-left k x k block, so the order-k norm of b is at least
     C(n, k) m^k, which the pseudoinverse g attains."""
     n, k, m, u, v = case
-    x, g = _boundary_point(n, k, m)
+    x, g = map(RatMatrix.diagonal, _boundary_point(n, k, m))
     b = RatMatrix.from_rows(fraction_sum(
         g.to_rows(),
         fraction_product(identity_minus_product(g, x), u),
@@ -1354,6 +1354,18 @@ def test_every_inner_inverse_of_a_witness_point_meets_the_bound(case):
     assert minor_norm(b, k) >= bound
     if u == v == RatMatrix.zeros(n):
         assert b == g
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(matrix_entries(), min_size=1, max_size=7))
+@example([Fraction(0), Fraction(-3, 2), Fraction(3, 2), Fraction(0), Fraction(1, 7)])
+def test_diagonal_norm_and_rank_equal_the_general_kernels(d):
+    """The witness reads each norm and rank off a diagonal: the closed
+    form against the compound and the Bareiss rank, for every k."""
+    a = RatMatrix.diagonal(d)
+    for k in range(1, len(d) + 1):
+        assert _diagonal_norm(d, k) == minor_norm(a, k)
+    assert sum(x != 0 for x in d) == rank(a)
 
 
 # ---------------------------------------------------------------------------
