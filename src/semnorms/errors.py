@@ -21,6 +21,8 @@ NOTATIONS = ("multiplicative", "additive")
 # its denominator.  It is CPython's default limit on converting between
 # int and str, so every value that parses can also be printed.
 LITERAL_DIGITS = 4300
+# The least int of more than LITERAL_DIGITS digits.
+_TOO_LONG = 10**LITERAL_DIGITS
 
 
 class SemnormsError(Exception):
@@ -69,18 +71,33 @@ class Immutable:
         return hash(self._key())
 
 
-def printable_count(n: int) -> str:
-    """A count of entries for a message: ``n`` in digits, or a bound when
-    ``str`` refuses it (an order of thousands of digits asks for a table
-    whose number of entries has twice as many)."""
-    return str(n) if n < 10**LITERAL_DIGITS else f"more than 10**{LITERAL_DIGITS}"
+def printable_count(n) -> str:
+    """``repr(n)`` for a message, or a bound in place of an int that
+    ``str`` refuses: one of more than LITERAL_DIGITS digits, such as a
+    count of entries for an order of thousands of digits, or a caller's
+    argument."""
+    if isinstance(n, int) and abs(n) >= _TOO_LONG:
+        return f"{'less than -' if n < 0 else 'more than '}10**{LITERAL_DIGITS}"
+    return repr(n)
+
+
+def check_budget(estimate: int, limit: int, what: str, unit: str) -> None:
+    """Refuse work over a budget before it starts: when ``estimate`` is over
+    ``limit``, raise ValueError ``<what> <estimate> <unit>, over the budget
+    of <limit>``, with the estimate printed through ``printable_count``.
+    Every work budget of the package refuses through here; each caller
+    passes its limit as read at the call, so a test may patch it."""
+    if estimate > limit:
+        raise ValueError(
+            f"{what} {printable_count(estimate)} {unit}, over the budget of {limit}"
+        )
 
 
 def exact_text(value: Fraction, what: str) -> str:
     """``str(value)`` for a report.  A value computed from the input, such
     as a product of two literals, can pass the digits ``str`` prints;
     then ValueError names ``what`` and the bound, and nothing is built."""
-    if max(abs(value.numerator), value.denominator) >= 10**LITERAL_DIGITS:
+    if max(abs(value.numerator), value.denominator) >= _TOO_LONG:
         raise ValueError(
             f"{what} has more than {LITERAL_DIGITS} digits in its numerator "
             "or its denominator, more than a report prints"

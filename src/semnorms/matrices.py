@@ -30,6 +30,7 @@ from typing import Iterable, NamedTuple, Sequence
 from .errors import (
     Immutable,
     ParseError,
+    check_budget,
     column,
     exact_text,
     printable_count,
@@ -53,7 +54,8 @@ class RatMatrix(Immutable):
         entries = tuple(x if type(x) is Fraction else Fraction(x) for x in entries)
         if len(entries) != rows * cols:
             raise ValueError(
-                f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(entries)}"
+                f"{printable_count(rows)}x{printable_count(cols)} matrix needs "
+                f"{printable_count(rows * cols)} entries, got {len(entries)}"
             )
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
@@ -233,7 +235,7 @@ def _check_subset(name: str, subset: Sequence[int], bound: int) -> tuple[int, ..
         raise ValueError(f"{name} index subset is empty")
     for x in idx:
         if not isinstance(x, int) or not 0 <= x < bound:
-            raise ValueError(f"{name} index {x!r} out of range 0..{bound - 1}")
+            raise ValueError(f"{name} index {printable_count(x)} out of range 0..{bound - 1}")
     if any(idx[i] >= idx[i + 1] for i in range(len(idx) - 1)):
         raise ValueError(f"{name} indices must be strictly increasing, got {idx}")
     return idx
@@ -273,11 +275,6 @@ RANK_STEP_WEIGHT = 7
 
 # Bits per machine digit of a Python int.
 _LIMB_BITS = sys.int_info.bits_per_digit
-
-
-def _check_work_budget(steps: int, what: str) -> None:
-    if steps > WORK_BUDGET:
-        raise ValueError(f"{what} needs about {steps} steps, over the budget of {WORK_BUDGET}")
 
 
 def _limbs(grid: list[list[int]]) -> int:
@@ -344,12 +341,14 @@ def _minor_levels(a: RatMatrix, k: int) -> tuple[list[int], dict]:
     if not isinstance(k, int) or not 0 < k <= min(a.rows, a.cols):
         raise ValueError(
             "the minor size must satisfy 0 < k <= min(rows, cols), "
-            f"got k={k} for a {a.rows}x{a.cols} matrix"
+            f"got k={printable_count(k)} for a {a.rows}x{a.cols} matrix"
         )
     scales, grid = _scaled_rows(a.to_rows())
-    _check_work_budget(
+    check_budget(
         _compound_steps(a.rows, a.cols, k) * _limbs(grid),
-        f"the order-{k} compound of a {a.rows}x{a.cols} matrix",
+        WORK_BUDGET,
+        f"the order-{k} compound of a {a.rows}x{a.cols} matrix needs about",
+        "steps",
     )
     last = a.rows - k  # a size-j prefix ends on a row <= last + j - 1
     level = {(r,): grid[r] for r in range(last + 1)}
@@ -456,9 +455,11 @@ def rank(a: RatMatrix) -> int:
     that is over WORK_BUDGET.
     """
     _, grid = _scaled_rows(a.to_rows())
-    _check_work_budget(
+    check_budget(
         RANK_STEP_WEIGHT * a.rows * a.cols * min(a.rows, a.cols) * _limbs(grid),
-        f"the rank of a {a.rows}x{a.cols} matrix",
+        WORK_BUDGET,
+        f"the rank of a {a.rows}x{a.cols} matrix needs about",
+        "steps",
     )
     return len(_eliminate(grid)[0])
 
@@ -644,21 +645,24 @@ def witness_sequence(n: int, k: int, m_max: int) -> WitnessReport:
     largest being C(n, k) m_max^k and C(n, k)^2, is too long to print
     (``exact_text``).
     """
+    shown = f"n={printable_count(n)}, k={printable_count(k)}"
     if not (isinstance(n, int) and isinstance(k, int) and 0 < k < n):
-        raise ValueError(f"need integers n and k with 0 < k < n, got n={n!r}, k={k!r}")
+        raise ValueError(f"need integers n and k with 0 < k < n, got {shown}")
     if not isinstance(m_max, int):
         raise ValueError(f"m_max must be an integer, got {m_max!r}")
     if m_max < 1:
-        raise ValueError(f"m_max must be at least 1, got {m_max}")
+        raise ValueError(f"m_max must be at least 1, got {printable_count(m_max)}")
     # A point (and the limit) builds and checks two diagonals of n
     # Fractions and reads a norm and a rank off each: 400 steps, and 40 per
     # diagonal entry.  On a 2-core Xeon a point took 4 to 9 microseconds
     # per entry at orders 256 to 37490, so the largest admitted runs take
     # 0.2 to 0.6 s; the n term is what refuses a huge order before its
     # diagonals are built.
-    _check_work_budget(
+    check_budget(
         (m_max + 1) * (400 + 40 * n),
-        f"the witness sequence for n={n}, k={k}, m_max={m_max}",
+        WORK_BUDGET,
+        f"the witness sequence for {shown}, m_max={printable_count(m_max)} needs about",
+        "steps",
     )
     coefficient = math.comb(n, k)
     exact_text(Fraction(coefficient * m_max**k), f"the pseudoinverse norm at m={m_max}")

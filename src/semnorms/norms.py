@@ -20,6 +20,8 @@ from .errors import (
     Immutable,
     NormDomainError,
     ParseError,
+    check_budget,
+    printable_count,
     rational,
     word_value,
 )
@@ -468,12 +470,12 @@ def random_submultiplicative_norms(
             raise NormDomainError(f"value pool contains a negative entry: {v}")
     if count < 0:
         raise ValueError("count must be nonnegative")
-    pairs = (count - 1) * s.order**2
-    if pairs > FUZZ_WORK_BUDGET:
-        raise ValueError(
-            f"{count} random norms on {s.order} elements visit {pairs} table pairs "
-            f"after the first draw, over the budget of {FUZZ_WORK_BUDGET}"
-        )
+    check_budget(
+        (count - 1) * s.order**2,
+        FUZZ_WORK_BUDGET,
+        f"{printable_count(count)} random norms on {s.order} elements visit",
+        "table pairs after the first draw",
+    )
     rng = random.Random(seed)
     norms: list[NormTable] = []
     repaired = 0

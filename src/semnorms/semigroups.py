@@ -18,6 +18,7 @@ from .errors import (
     Immutable,
     InvalidSemigroupError,
     ParseError,
+    check_budget,
     column,
     printable_count,
     rational,
@@ -34,6 +35,17 @@ from .errors import (
 # prints 14.6 MB for it in 2.1 s, most of it in the JSON encoder (one
 # core of a 2-core Xeon).  Order 100 would print about 56 MB in 10 s.
 LISTING_BUDGET = 262_144
+
+# The most table entries Light's test may read, |G| * n**2 for the
+# generators G of a table of order n (see ``validate``); a table over it
+# is refused with ValueError before the test.  A read costs 12 to 14 ns
+# on the null and left-zero tables of orders 256 to 512, where G is every
+# element, and on the 3125-element monoid of all maps on 5 points, where
+# G has 6 elements.  So the slowest admitted validation, the null table
+# of order 512 at the budget, took 1.73 to 1.92 s in 5 calls, and that
+# monoid 1.3 s; the null table of order 1024, 8 times over, is refused in
+# 0.15 s (one core of a 2-core Xeon, Python 3.11).
+LIGHT_TEST_BUDGET = 512**3
 
 
 class ValidationReport(NamedTuple):
@@ -112,7 +124,9 @@ def validate(table: Sequence[Sequence[object]]) -> ValidationReport:
     inside the closure of G under the table's product, so when every g
     in G is good, every element is good and the table is associative.
     The cost is |G| * n^2.  At worst, on left-zero or null tables, every
-    element is a generator and the cost is the n^3 of the full scan.
+    element is a generator and the cost is the n^3 of the full scan.  A
+    table whose |G| * n^2 is over LIGHT_TEST_BUDGET raises ValueError
+    before the test.
     """
     return _validate(table)[0]
 
@@ -150,6 +164,13 @@ def _validate(table: Sequence[Sequence[object]]) -> tuple[ValidationReport, tupl
             return ValidationReport(tuple(structural), tuple(out_of_range)), ()
     rows = [tuple(row) for row in table]
     generators = _right_generators(rows)
+    check_budget(
+        len(generators) * n * n,
+        LIGHT_TEST_BUDGET,
+        f"Light's associativity test with {len(generators)} generators "
+        f"on {n} elements reads",
+        "table entries",
+    )
     g = next((g for g in generators if not _good_middle(rows, g)), None)
     if g is None:
         return ValidationReport(), tuple(generators)
@@ -163,11 +184,13 @@ def _validate(table: Sequence[Sequence[object]]) -> tuple[ValidationReport, tupl
             if rows[row_i[j]][k] != row_i[rows[j][k]]
         )
 
-    if n**3 > LISTING_BUDGET:
-        raise ValueError(
-            f"not associative at triple {next(violations([g]))}; listing every violating "
-            f"triple would scan {n**3} triples, over the budget of {LISTING_BUDGET}"
-        )
+    check_budget(
+        n**3,
+        LISTING_BUDGET,
+        f"not associative at triple {next(violations([g]))}; "
+        "listing every violating triple would scan",
+        "triples",
+    )
     return ValidationReport(non_associative=tuple(violations(range(n)))), ()
 
 
@@ -237,7 +260,8 @@ class FiniteSemigroup(Immutable):
 
     Construction validates the table and raises InvalidSemigroupError when
     it is not square, not in range, or not associative, or ValueError when
-    it is not associative and too large to list (see ``validate``).  ``labels`` is an
+    Light's test, or the listing of a table that is not associative, is
+    over its budget (see ``validate``).  ``labels`` is an
     optional per-element tuple of exact rationals, stored and compared but
     read by no computation (see the module docstring).  ``generators`` is the
     generating set G that Light's test picked during validation: every
@@ -344,7 +368,7 @@ def zero_elements(s: FiniteSemigroup) -> ZeroElements:
 
 def _check_element(s: FiniteSemigroup, a: int) -> None:
     if not isinstance(a, int) or not 0 <= a < s.order:
-        raise ValueError(f"element index {a!r} out of range for order {s.order}")
+        raise ValueError(f"element index {printable_count(a)} out of range for order {s.order}")
 
 
 # ---------------------------------------------------------------------------

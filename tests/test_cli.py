@@ -654,6 +654,30 @@ def test_witness_rejects_k_equal_n(capsys):
     assert "0 < k < n, got n=3, k=3" in err
 
 
+@pytest.mark.parametrize(
+    "argv, tail",
+    [
+        (
+            ["witness", "--n", "3", "--k", "1", "--m-max", "9" * 4300],
+            "more than 10**4300 steps, over the budget of 3000000",
+        ),
+        (
+            ["witness", "--n", "9" * 4300, "--k", "1", "--m-max", "2"],
+            "more than 10**4300 steps, over the budget of 3000000",
+        ),
+        (
+            ["fuzz", "t3", "--count", "9" * 4300],
+            "more than 10**4300 table pairs after the first draw, over the budget of 6250000",
+        ),
+    ],
+)
+def test_an_estimate_too_long_for_str_is_refused_with_a_bound(capsys, argv, tail):
+    # Each estimate has more digits than CPython converts to str.
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.endswith(f" {tail}\n")
+
+
 def test_witness_over_the_work_budget_exits_2_at_once(capsys):
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "witness", "--n", "80000", "--k", "40000")
@@ -1023,23 +1047,29 @@ FORMATS = ("json", "text", "xml")
 # ``fuzz`` admits thousands of draws on t3 before its work budget refuses
 # a count, while ``witness`` runs order 40 with k = 20 in about a
 # millisecond at these m_max and refuses the 40-digit order up front; the
-# larger values check both refusals.
+# larger values check both refusals.  HUGE are integers at and past
+# CPython's 4300-digit limit on int and str: those of 4301 and 5000
+# digits do not parse, and a refusal of the others may print an estimate
+# longer than the limit.
 SMALL = ("-1", "0", "1", "2", "3", "", "x", "1.5")
+HUGE = ("9" * 4300, "9" * 4301, "-" + "9" * 4300, "9" * 5000)
 OPTIONS = {
     "validate": {"--format": FORMATS},
     "analyze": {"--format": FORMATS},
     "norm-check": {"--notation": ("multiplicative", "additive", "x"), "--format": FORMATS},
     "fuzz": {
-        "--count": SMALL + ("9" * 40,),
-        "--seed": SMALL + ("9" * 40,),
+        "--count": SMALL + HUGE + ("9" * 40,),
+        "--seed": SMALL + HUGE + ("9" * 40,),
         "--pool": ("0,1/2,1,2", "1/2", "", "x", "-1", "1,,2", "1e5000", "1/0"),
         "--format": FORMATS,
     },
-    "minor-norm": {"--k": SMALL, "--mode": ("exact", "float", "x"), "--format": FORMATS},
+    "minor-norm": {
+        "--k": SMALL + HUGE, "--mode": ("exact", "float", "x"), "--format": FORMATS
+    },
     "witness": {
-        "--n": SMALL + ("40", "9" * 40),
-        "--k": SMALL + ("20",),
-        "--m-max": SMALL,
+        "--n": SMALL + HUGE + ("40", "9" * 40),
+        "--k": SMALL + HUGE + ("20",),
+        "--m-max": SMALL + HUGE,
         "--format": FORMATS,
     },
 }
@@ -1100,7 +1130,11 @@ def test_any_command_line_exits_0_1_or_2(argv, contents):
                 fh.write(content)
         argv = [paths.get(arg, arg) for arg in argv]
         out, err = io.StringIO(), io.StringIO()
+        start = time.perf_counter()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
+        elapsed = time.perf_counter() - start
     assert code in (0, 1, 2), (code, out.getvalue(), err.getvalue())
-    assert "Traceback" not in err.getvalue()
+    for text in ("Traceback", "set_int_max_str_digits", "Exceeds the limit"):
+        assert text not in err.getvalue()
+    assert elapsed < 1, argv

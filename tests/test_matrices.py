@@ -429,6 +429,34 @@ def test_witness_sequence_refuses_a_non_integer_m_max(m_max):
         witness_sequence(3, 1, m_max)
 
 
+BIG = 10**5000
+
+
+@pytest.mark.parametrize(
+    "call, args, message",
+    [
+        (witness_sequence, (3, 1, BIG), r"m_max=more than 10\*\*4300 needs about more than"),
+        (witness_sequence, (3, 1, -BIG), r"at least 1, got less than -10\*\*4300$"),
+        (witness_sequence, (BIG, 1, 1), r"n=more than 10\*\*4300, k=1, m_max=1 needs about"),
+        (witness_sequence, (-BIG, 1, 1), r"got n=less than -10\*\*4300, k=1$"),
+        (witness_sequence, (3, BIG, 1), r"got n=3, k=more than 10\*\*4300$"),
+        (witness_sequence, (3, -BIG, 1), r"got n=3, k=less than -10\*\*4300$"),
+        (minor_norm, (RatMatrix.identity(3), BIG), r"got k=more than 10\*\*4300 for a 3x3"),
+        (minor_norm, (RatMatrix.identity(3), -BIG), r"got k=less than -10\*\*4300 for a 3x3"),
+        (compound, (RatMatrix.identity(3), BIG), r"got k=more than 10\*\*4300 for a 3x3"),
+        (compound, (RatMatrix.identity(3), -BIG), r"got k=less than -10\*\*4300 for a 3x3"),
+        (minor, (RatMatrix.identity(3), (BIG,), (0,)), r"row index more than 10\*\*4300 out"),
+        (minor, (RatMatrix.identity(3), (0,), (-BIG,)), r"column index less than -10\*\*4300 out"),
+        (RatMatrix, (10**3000, BIG, ()), r"^10{3000}xmore than 10\*\*4300 matrix needs more than"),
+    ],
+)
+def test_an_argument_too_long_for_str_is_named_by_a_bound(call, args, message):
+    # str() refuses an int of more than 4300 digits; the message that
+    # echoes one prints a bound in its place.
+    with pytest.raises(ValueError, match=message):
+        call(*args)
+
+
 def test_boundary_point_inverse_is_the_moore_penrose_inverse():
     # The closed form diag(m I_k, 0) against the general elimination.
     for n in range(2, 7):

@@ -246,6 +246,8 @@ def test_pool_validation():
         random_submultiplicative_norms(s, 1, value_pool=(1, -1))
     with pytest.raises(ValueError, match="count"):
         random_submultiplicative_norms(s, -1)
+    with pytest.raises(ValueError, match="count must be nonnegative"):
+        random_submultiplicative_norms(s, -(10**5000))
 
 
 def test_work_budget_admits_the_default_count_on_t4_and_refuses_larger_work():
@@ -256,6 +258,11 @@ def test_work_budget_admits_the_default_count_on_t4_and_refuses_larger_work():
     start = time.perf_counter()
     with pytest.raises(ValueError, match=f"{over} random norms on 27 elements .* over the budget"):
         random_submultiplicative_norms(t3, over)
+    # A count longer than str prints, and the pairs it asks for, print as a bound.
+    with pytest.raises(
+        ValueError, match=r"^more than 10\*\*4300 random norms on 27 elements visit more than"
+    ):
+        random_submultiplicative_norms(t3, 10**5000)
     assert time.perf_counter() - start < 0.5
 
 

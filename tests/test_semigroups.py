@@ -34,7 +34,8 @@ from semnorms import (
     validate,
     zero_elements,
 )
-from semnorms.semigroups import LISTING_BUDGET, inverse_sets
+from semnorms import semigroups
+from semnorms.semigroups import LIGHT_TEST_BUDGET, LISTING_BUDGET, inverse_sets
 
 # Self-maps of {0, 1} in lexicographic order: 0 = const 0, 1 = identity,
 # 2 = swap, 3 = const 1, composed left to right.
@@ -125,6 +126,27 @@ def test_listing_is_bounded_by_the_triples_it_would_scan():
             check(table)
         i, j, k = map(int, re.search(r"triple \((\d+), (\d+), (\d+)\)", str(exc.value)).groups())
         assert table[table[i][j]][k] != table[i][table[j][k]]
+
+
+def test_light_test_is_refused_over_its_budget(monkeypatch):
+    # Every element of a null table is a generator, so Light's test reads
+    # n**3 entries, about 14 s at order 1024: refused before the test.
+    assert LIGHT_TEST_BUDGET == 512**3
+    table = [[0] * 1024 for _ in range(1024)]
+    for check in (validate, FiniteSemigroup):
+        start = time.perf_counter()
+        with pytest.raises(
+            ValueError,
+            match="^Light's associativity test with 1024 generators on 1024 elements "
+            "reads 1073741824 table entries, over the budget of 134217728$",
+        ):
+            check(table)
+        assert time.perf_counter() - start < 0.5
+    # The budget itself is admitted.
+    monkeypatch.setattr(semigroups, "LIGHT_TEST_BUDGET", 8**3)
+    assert validate([[0] * 8 for _ in range(8)]).ok
+    with pytest.raises(ValueError, match="reads 729 table entries, over the budget of 512$"):
+        validate([[0] * 9 for _ in range(9)])
 
 
 def test_validate_summary_counts():
@@ -265,6 +287,8 @@ def test_inverse_set_left_zero_is_everything():
 def test_inverse_set_rejects_bad_index():
     with pytest.raises(ValueError, match="out of range"):
         inverse_set(builtin_semigroup("z2"), 5)
+    with pytest.raises(ValueError, match=r"index more than 10\*\*4300 out of range"):
+        inverse_set(builtin_semigroup("z2"), 10**5000)
 
 
 def test_is_regular():
