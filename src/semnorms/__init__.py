@@ -53,7 +53,6 @@ _EXPORTS = {
                 "generalized_inverse",
                 "load_matrix",
                 "mat_mul",
-                "minor",
                 "minor_norm",
                 "minor_norm_float",
                 "parse_matrix_text",
@@ -61,7 +60,7 @@ _EXPORTS = {
                 "witness_sequence",
             ),
         ),
-        ("order", ("OrderRelation", "natural_leq", "natural_order")),
+        ("order", ("OrderRelation", "natural_order")),
         (
             "norms",
             (
@@ -85,7 +84,6 @@ _EXPORTS = {
                 "SUITE_IDS",
                 "PropositionVerdict",
                 "run_suite",
-                "suite_to_jsonable",
             ),
         ),
         (

@@ -65,12 +65,6 @@ class AxiomReport(NamedTuple):
     notation: str
     entries: tuple[AxiomVerdict, ...]
 
-    def find(self, definition: str, axiom: str) -> AxiomVerdict:
-        for entry in self.entries:
-            if entry.definition == definition and entry.axiom == axiom:
-                return entry
-        raise KeyError(f"{definition}/{axiom}")
-
     def to_jsonable(self) -> dict:
         return {
             "notation": self.notation,

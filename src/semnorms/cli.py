@@ -119,7 +119,7 @@ def cmd_analyze(args) -> int:
 def cmd_norm_check(args) -> int:
     from .axioms import classify_literature_axioms
     from .norms import load_norm_table
-    from .propositions import FAIL, _gated_suite, suite_to_jsonable
+    from .propositions import FAIL, _gated_suite
 
     s = _load_semigroup(args.semigroup)
     norm = load_norm_table(args.norm)
@@ -131,7 +131,7 @@ def cmd_norm_check(args) -> int:
         "semigroup": args.semigroup,
         "norm": args.norm,
         "submultiplicative": verdict.to_jsonable(),
-        "propositions": suite_to_jsonable(suite),
+        "propositions": [v.to_jsonable() for v in suite],
         "axioms": axioms.to_jsonable(),
         "pass": ok,
     }

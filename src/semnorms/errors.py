@@ -71,25 +71,35 @@ class Immutable:
         return hash(self._key())
 
 
-def printable_count(n) -> str:
-    """``repr(n)`` for a message, or a bound in place of an int that
-    ``str`` refuses: one of more than LITERAL_DIGITS digits, such as a
-    count of entries for an order of thousands of digits, or a caller's
-    argument."""
-    if isinstance(n, int) and abs(n) >= _TOO_LONG:
-        return f"{'less than -' if n < 0 else 'more than '}10**{LITERAL_DIGITS}"
-    return repr(n)
+def printable(value, text=repr) -> str:
+    """``text(value)`` for a message, or a bound in place of a rational
+    that ``str`` refuses: an int, or a Fraction's numerator or
+    denominator, of more than LITERAL_DIGITS digits, such as a count of
+    entries for an order of thousands of digits, or a caller's argument
+    or value.  An integral one prints as ``more than 10**4300`` (``less
+    than -10**4300`` below zero), any other as a rational with more than
+    4300 digits in its numerator or its denominator."""
+    if isinstance(value, (int, Fraction)):
+        p, q = value.numerator, value.denominator
+        if q == 1 and abs(p) >= _TOO_LONG:
+            return f"{'less than -' if p < 0 else 'more than '}10**{LITERAL_DIGITS}"
+        if max(abs(p), q) >= _TOO_LONG:
+            return (
+                f"a rational with more than {LITERAL_DIGITS} digits in its "
+                "numerator or its denominator"
+            )
+    return text(value)
 
 
 def check_budget(estimate: int, limit: int, what: str, unit: str) -> None:
     """Refuse work over a budget before it starts: when ``estimate`` is over
     ``limit``, raise ValueError ``<what> <estimate> <unit>, over the budget
-    of <limit>``, with the estimate printed through ``printable_count``.
+    of <limit>``, with the estimate printed through ``printable``.
     Every work budget of the package refuses through here; each caller
     passes its limit as read at the call, so a test may patch it."""
     if estimate > limit:
         raise ValueError(
-            f"{what} {printable_count(estimate)} {unit}, over the budget of {limit}"
+            f"{what} {printable(estimate)} {unit}, over the budget of {limit}"
         )
 
 

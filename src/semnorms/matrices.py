@@ -11,11 +11,11 @@ is built only for each entry of a result.
 Two kernels do the work.  ``compound`` enumerates the minors by one
 integer Laplace program; the norm, its float rounding and the right side
 of Cauchy-Binet all read it.  ``_eliminate``, one Bareiss fraction-free
-elimination, gives ``det`` (and ``minor`` through it), ``rank``, and the
-pivots and Schur complement of ``generalized_inverse``; ``det`` is the
-independent reference the Laplace program is tested against.  The witness
-sequence needs neither: its matrices are diagonal, and each norm and rank
-is read off the diagonal (``_diagonal_norm``).
+elimination, gives ``det``, ``rank``, and the pivots and Schur complement
+of ``generalized_inverse``; ``det`` is the independent reference the
+Laplace program is tested against.  The witness sequence needs neither:
+its matrices are diagonal, and each norm and rank is read off the
+diagonal (``_diagonal_norm``).
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .errors import (
     check_budget,
     column,
     exact_text,
-    printable_count,
+    printable,
     rational,
     spots,
     word_value,
@@ -54,8 +54,8 @@ class RatMatrix(Immutable):
         entries = tuple(x if type(x) is Fraction else Fraction(x) for x in entries)
         if len(entries) != rows * cols:
             raise ValueError(
-                f"{printable_count(rows)}x{printable_count(cols)} matrix needs "
-                f"{printable_count(rows * cols)} entries, got {len(entries)}"
+                f"{printable(rows)}x{printable(cols)} matrix needs "
+                f"{printable(rows * cols)} entries, got {len(entries)}"
             )
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
@@ -74,26 +74,6 @@ class RatMatrix(Immutable):
                 raise ValueError(f"row {i} has {len(row)} entries, expected {width}")
         return cls(len(rows), width, tuple(x for row in rows for x in row))
 
-    @classmethod
-    def identity(cls, n: int) -> "RatMatrix":
-        return cls(n, n, tuple(Fraction(int(i == j)) for i in range(n) for j in range(n)))
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int | None = None) -> "RatMatrix":
-        cols = rows if cols is None else cols
-        return cls(rows, cols, (Fraction(0),) * (rows * cols))
-
-    @classmethod
-    def diagonal(cls, values: Sequence) -> "RatMatrix":
-        """Square matrix of order len(values) with ``values`` on the
-        leading diagonal and zeros elsewhere."""
-        values = [Fraction(v) for v in values]
-        n = len(values)
-        entries = [Fraction(0)] * (n * n)
-        for i, v in enumerate(values):
-            entries[i * n + i] = v
-        return cls(n, n, tuple(entries))
-
     def entry(self, i: int, j: int) -> Fraction:
         return self.entries[i * self.cols + j]
 
@@ -101,19 +81,9 @@ class RatMatrix(Immutable):
         c = self.cols
         return [list(self.entries[i * c:(i + 1) * c]) for i in range(self.rows)]
 
-    def transpose(self) -> "RatMatrix":
-        return RatMatrix(
-            self.cols,
-            self.rows,
-            tuple(self.entry(i, j) for j in range(self.cols) for i in range(self.rows)),
-        )
-
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols
-
-    def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
-        return mat_mul(self, other)
 
     def __repr__(self) -> str:
         return f"RatMatrix({self.rows}x{self.cols})"
@@ -229,31 +199,6 @@ def det(a: RatMatrix) -> Fraction:
     return Fraction(-last if inversions % 2 else last, math.prod(scales))
 
 
-def _check_subset(name: str, subset: Sequence[int], bound: int) -> tuple[int, ...]:
-    idx = tuple(subset)
-    if not idx:
-        raise ValueError(f"{name} index subset is empty")
-    for x in idx:
-        if not isinstance(x, int) or not 0 <= x < bound:
-            raise ValueError(f"{name} index {printable_count(x)} out of range 0..{bound - 1}")
-    if any(idx[i] >= idx[i + 1] for i in range(len(idx) - 1)):
-        raise ValueError(f"{name} indices must be strictly increasing, got {idx}")
-    return idx
-
-
-def minor(a: RatMatrix, row_subset: Sequence[int], col_subset: Sequence[int]) -> Fraction:
-    """Determinant of the submatrix picked by two equally long, strictly
-    increasing index subsets."""
-    rows = _check_subset("row", row_subset, a.rows)
-    cols = _check_subset("column", col_subset, a.cols)
-    if len(rows) != len(cols):
-        raise ValueError(f"subset sizes differ: {len(rows)} rows vs {len(cols)} columns")
-    sub = RatMatrix(
-        len(rows), len(cols), tuple(a.entry(i, j) for i in rows for j in cols)
-    )
-    return det(sub)
-
-
 # Most steps one computation may take.  A step is one integer
 # multiply-add of one-digit operands, 0.2 to 1.6 microseconds in CPython
 # on a 2-core Xeon; the estimates below count the work of building
@@ -297,7 +242,8 @@ def _compound_steps(rows: int, cols: int, k: int) -> int:
 def compound(a: RatMatrix, k: int) -> RatMatrix:
     """The order-k compound of a: every order-k minor, with rows and
     columns indexed by the k-subsets of rows and of columns in
-    lexicographic order.  Entry (p, q) is minor(a, R_p, C_q).
+    lexicographic order.  Entry (p, q) is the minor of a on rows R_p and
+    columns C_q.
 
     The kernel is a Laplace dynamic program on integers:
 
@@ -341,7 +287,7 @@ def _minor_levels(a: RatMatrix, k: int) -> tuple[list[int], dict]:
     if not isinstance(k, int) or not 0 < k <= min(a.rows, a.cols):
         raise ValueError(
             "the minor size must satisfy 0 < k <= min(rows, cols), "
-            f"got k={printable_count(k)} for a {a.rows}x{a.cols} matrix"
+            f"got k={printable(k)} for a {a.rows}x{a.cols} matrix"
         )
     scales, grid = _scaled_rows(a.to_rows())
     check_budget(
@@ -500,7 +446,7 @@ def generalized_inverse(a: RatMatrix) -> RatMatrix:
     big_a = [[x.numerator * (d // x.denominator) for x in row] for row in a.to_rows()]
     pivot_rows, pivot_cols, _, _ = _eliminate(big_a)
     if not pivot_rows:
-        return RatMatrix.zeros(n, n)
+        return RatMatrix(n, n, (Fraction(0),) * (n * n))
     at = list(zip(*big_a))
     ct = [list(at[q]) for q in pivot_cols]
     big_r = [big_a[p] for p in pivot_rows]
@@ -645,13 +591,13 @@ def witness_sequence(n: int, k: int, m_max: int) -> WitnessReport:
     largest being C(n, k) m_max^k and C(n, k)^2, is too long to print
     (``exact_text``).
     """
-    shown = f"n={printable_count(n)}, k={printable_count(k)}"
+    shown = f"n={printable(n)}, k={printable(k)}"
     if not (isinstance(n, int) and isinstance(k, int) and 0 < k < n):
         raise ValueError(f"need integers n and k with 0 < k < n, got {shown}")
     if not isinstance(m_max, int):
-        raise ValueError(f"m_max must be an integer, got {m_max!r}")
+        raise ValueError(f"m_max must be an integer, got {printable(m_max)}")
     if m_max < 1:
-        raise ValueError(f"m_max must be at least 1, got {printable_count(m_max)}")
+        raise ValueError(f"m_max must be at least 1, got {printable(m_max)}")
     # A point (and the limit) builds and checks two diagonals of n
     # Fractions and reads a norm and a rank off each: 400 steps, and 40 per
     # diagonal entry.  On a 2-core Xeon a point took 4 to 9 microseconds
@@ -661,7 +607,7 @@ def witness_sequence(n: int, k: int, m_max: int) -> WitnessReport:
     check_budget(
         (m_max + 1) * (400 + 40 * n),
         WORK_BUDGET,
-        f"the witness sequence for {shown}, m_max={printable_count(m_max)} needs about",
+        f"the witness sequence for {shown}, m_max={printable(m_max)} needs about",
         "steps",
     )
     coefficient = math.comb(n, k)
@@ -727,7 +673,7 @@ def parse_matrix_text(text: str) -> RatMatrix:
     found = sum(len(line.split()) for line in lines) - 2
     if found != rows * cols:
         raise ParseError(
-            f"expected {printable_count(rows * cols)} entries for a {rows}x{cols} matrix, "
+            f"expected {printable(rows * cols)} entries for a {rows}x{cols} matrix, "
             f"found {found}",
             len(lines),
             1,

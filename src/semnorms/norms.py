@@ -21,7 +21,7 @@ from .errors import (
     NormDomainError,
     ParseError,
     check_budget,
-    printable_count,
+    printable,
     rational,
     word_value,
 )
@@ -39,7 +39,9 @@ class NormTable(Immutable):
         vals = tuple(v if type(v) is Fraction else Fraction(v) for v in values)
         if any(v.numerator < 0 for v in vals):
             i = next(i for i, v in enumerate(vals) if v.numerator < 0)
-            raise NormDomainError(f"norm value at element {i} is negative: {vals[i]}")
+            raise NormDomainError(
+                f"norm value at element {i} is negative: {printable(vals[i], str)}"
+            )
         object.__setattr__(self, "values", vals)
 
     def _key(self):
@@ -56,10 +58,6 @@ class NormTable(Immutable):
 
     def __repr__(self):
         return f"NormTable({[str(v) for v in self.values]})"
-
-    @classmethod
-    def constant(cls, order: int, value) -> "NormTable":
-        return cls([Fraction(value)] * order)
 
 
 def _coerce(s: FiniteSemigroup, values) -> NormTable:
@@ -467,13 +465,17 @@ def random_submultiplicative_norms(
         raise ValueError("value pool is empty")
     for v in pool:
         if v < 0:
-            raise NormDomainError(f"value pool contains a negative entry: {v}")
+            raise NormDomainError(
+                f"value pool contains a negative entry: {printable(v, str)}"
+            )
+    if not isinstance(count, int):
+        raise ValueError(f"count must be an integer, got {printable(count)}")
     if count < 0:
         raise ValueError("count must be nonnegative")
     check_budget(
         (count - 1) * s.order**2,
         FUZZ_WORK_BUDGET,
-        f"{printable_count(count)} random norms on {s.order} elements visit",
+        f"{printable(count)} random norms on {s.order} elements visit",
         "table pairs after the first draw",
     )
     rng = random.Random(seed)

@@ -9,28 +9,12 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .semigroups import FiniteSemigroup, _check_element, derived, idempotents
+from .semigroups import FiniteSemigroup, derived, idempotents
 
 
 class OrderRelation(NamedTuple):
     order: int
     pairs: frozenset[tuple[int, int]]
-
-    def leq(self, a: int, b: int) -> bool:
-        return (a, b) in self.pairs
-
-
-def natural_leq(s: FiniteSemigroup, a: int, b: int) -> bool:
-    """Brute force from the definition, without building S^1.  A witness
-    x = 1 gives a = 1*b = b, and y = 1 gives a = b*1 = b; so for a != b
-    both witnesses range over S alone."""
-    _check_element(s, a)
-    _check_element(s, b)
-    t = s.table
-    return a == b or (
-        any(t[x][b] == a == t[x][a] for x in s.elements())
-        and any(t[b][y] == a for y in s.elements())
-    )
 
 
 @derived
@@ -46,8 +30,7 @@ def natural_order(s: FiniteSemigroup) -> OrderRelation:
     half of the definition holds exactly on L(b) = {b} | {e*b : e in E}.
     The right witness y ranges over S^1, so the second half holds exactly
     on b*S^1 = row(b) | {b}.  The lower set of b is their intersection.
-    ``natural_leq`` keeps the brute force over all witness pairs as the
-    oracle.
+    The tests keep the brute force over all witness pairs as the oracle.
     """
     t = s.table
     idempotent_rows = [t[e] for e in idempotents(s)]

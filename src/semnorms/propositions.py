@@ -201,7 +201,3 @@ def run_suite(s: FiniteSemigroup, values) -> tuple[PropositionVerdict, ...]:
     """The verdicts of P2..P8, in suite order.  Each is INAPPLICABLE when
     the norm is not submultiplicative, since the law's hypothesis is void."""
     return _gated_suite(s, values)[1]
-
-
-def suite_to_jsonable(verdicts) -> list[dict]:
-    return [v.to_jsonable() for v in verdicts]

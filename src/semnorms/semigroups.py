@@ -20,7 +20,7 @@ from .errors import (
     ParseError,
     check_budget,
     column,
-    printable_count,
+    printable,
     rational,
     spots,
     word_value,
@@ -75,7 +75,7 @@ class ValidationReport(NamedTuple):
             row, col, value = self.out_of_range[0]
             parts.append(
                 f"{len(self.out_of_range)} out-of-range entries "
-                f"(first at row {row}, column {col}: {value!r})"
+                f"(first at row {row}, column {col}: {printable(value)})"
             )
         if self.non_associative:
             i, j, k = self.non_associative[0]
@@ -157,7 +157,7 @@ def _validate(table: Sequence[Sequence[object]]) -> tuple[ValidationReport, tupl
         for i, row in enumerate(table):
             for j, value in enumerate(row):
                 if not isinstance(value, int) or isinstance(value, bool):
-                    structural.append(f"entry ({i}, {j}) is not an integer: {value!r}")
+                    structural.append(f"entry ({i}, {j}) is not an integer: {printable(value)}")
                 elif not 0 <= value < n:
                     out_of_range.append((i, j, value))
         if structural or out_of_range:
@@ -302,9 +302,6 @@ class FiniteSemigroup(Immutable):
     def elements(self) -> range:
         return range(self.order)
 
-    def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
-
     @derived
     def identity(self) -> int | None:
         """Index of the two-sided identity, or None."""
@@ -368,7 +365,7 @@ def zero_elements(s: FiniteSemigroup) -> ZeroElements:
 
 def _check_element(s: FiniteSemigroup, a: int) -> None:
     if not isinstance(a, int) or not 0 <= a < s.order:
-        raise ValueError(f"element index {printable_count(a)} out of range for order {s.order}")
+        raise ValueError(f"element index {printable(a)} out of range for order {s.order}")
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +438,7 @@ def parse_cayley_text(text: str) -> tuple[list[list[int]], list[Fraction] | None
         raise ParseError("missing table order", last_line, 1)
     if found < n * n:
         raise ParseError(
-            f"expected {printable_count(n * n)} table entries, found {found}", last_line, 1
+            f"expected {printable(n * n)} table entries, found {found}", last_line, 1
         )
     if error:
         raise error

@@ -1,8 +1,8 @@
-"""Seeded random rational matrices for the matrix tests.
+"""Matrices for the matrix tests: seeded random rational ones, and the
+identity, zero, diagonal and transposed ones.
 
-Not a test module: ``test_matrices.py`` and ``test_acceptance.py``
-import it, and their seeded draws depend on the order of the ``randint``
-calls below.
+Not a test module: the matrix tests import it, and their seeded draws
+depend on the order of the ``randint`` calls below.
 """
 
 from fractions import Fraction
@@ -27,3 +27,23 @@ def random_rational_matrix(rng, rows: int, cols: int) -> RatMatrix:
             for _ in range(rows * cols)
         ),
     )
+
+
+def identity_matrix(n: int) -> RatMatrix:
+    return RatMatrix(n, n, [int(i == j) for i in range(n) for j in range(n)])
+
+
+def zero_matrix(rows: int, cols: int | None = None) -> RatMatrix:
+    cols = rows if cols is None else cols
+    return RatMatrix(rows, cols, [0] * (rows * cols))
+
+
+def diagonal_matrix(values) -> RatMatrix:
+    """The square matrix of order len(values) with ``values`` on its
+    leading diagonal and zeros elsewhere."""
+    n = len(values)
+    return RatMatrix(n, n, [values[i] if i == j else 0 for i in range(n) for j in range(n)])
+
+
+def transposed(a: RatMatrix) -> RatMatrix:
+    return RatMatrix(a.cols, a.rows, [x for j in range(a.cols) for x in a.entries[j::a.cols]])

@@ -26,7 +26,6 @@ from semnorms import (
     generalized_inverse,
     load_matrix,
     mat_mul,
-    minor,
     minor_norm,
     minor_norm_float,
     parse_matrix_text,
@@ -36,7 +35,14 @@ from semnorms import (
 from semnorms import matrices
 from semnorms.matrices import WORK_BUDGET, _boundary_point
 
-from matrix_draws import random_rational_matrix
+from matrix_draws import (
+    diagonal_matrix,
+    identity_matrix,
+    random_rational_matrix,
+    transposed,
+    zero_matrix,
+)
+from references import minor
 
 
 def laplace_det(rows):
@@ -107,21 +113,21 @@ def test_from_rows_rejects_ragged():
 
 
 def test_identity_zeros_diagonal():
-    assert RatMatrix.identity(2).to_rows() == [[1, 0], [0, 1]]
-    assert RatMatrix.zeros(2, 3).to_rows() == [[0, 0, 0], [0, 0, 0]]
-    d = RatMatrix.diagonal([Fraction(1, 2), 0, 0])
+    assert identity_matrix(2).to_rows() == [[1, 0], [0, 1]]
+    assert zero_matrix(2, 3).to_rows() == [[0, 0, 0], [0, 0, 0]]
+    d = diagonal_matrix([Fraction(1, 2), 0, 0])
     assert d.to_rows() == [[Fraction(1, 2), 0, 0], [0, 0, 0], [0, 0, 0]]
 
 
 def test_transpose():
     a = rat([[1, 2, 3], [4, 5, 6]])
-    assert a.transpose().to_rows() == [[1, 4], [2, 5], [3, 6]]
+    assert transposed(a).to_rows() == [[1, 4], [2, 5], [3, 6]]
 
 
 def test_matmul():
     a = rat([[1, 2], [3, 4]])
     b = rat([[0, 1], [1, 0]])
-    assert (a @ b).to_rows() == [[2, 1], [4, 3]]
+    assert mat_mul(a, b).to_rows() == [[2, 1], [4, 3]]
     with pytest.raises(ValueError, match="cannot multiply"):
         mat_mul(a, rat([[1, 2, 3]]))
 
@@ -136,7 +142,7 @@ def test_det_frozen_values():
     assert det(rat([["1/2", "1/3"], ["1/4", "1/5"]])) == Fraction(1, 60)
     assert det(rat([[1, 2, 3], [4, 5, 6], [7, 8, 10]])) == -3
     assert det(rat([[1, 2, 3], [2, 4, 6], [1, 1, 1]])) == 0
-    assert det(RatMatrix.identity(5)) == 1
+    assert det(identity_matrix(5)) == 1
 
 
 def test_det_needs_pivot_swaps():
@@ -166,7 +172,7 @@ def test_minor_frozen():
 
 
 def test_minor_subset_validation():
-    a = RatMatrix.identity(3)
+    a = identity_matrix(3)
     with pytest.raises(ValueError, match="empty"):
         minor(a, (), (0,))
     with pytest.raises(ValueError, match="out of range"):
@@ -182,22 +188,22 @@ def test_minor_subset_validation():
 
 
 def test_minor_norm_coefficient_and_k_range():
-    assert minor_norm(RatMatrix.identity(5), 2) == 10
-    assert minor_norm(RatMatrix.identity(4), 4) == 1
+    assert minor_norm(identity_matrix(5), 2) == 10
+    assert minor_norm(identity_matrix(4), 4) == 1
     for k in (0, -1, 4, 3.0, "1", None):
         with pytest.raises(ValueError, match="0 < k <= min"):
-            minor_norm(RatMatrix.identity(3), k)
+            minor_norm(identity_matrix(3), k)
 
 
 def test_minor_norm_frozen_values():
-    eye = RatMatrix.identity(3)
+    eye = identity_matrix(3)
     assert minor_norm(eye, 1) == 3
     assert minor_norm(eye, 2) == 3
     assert minor_norm(eye, 3) == 1
-    half = RatMatrix.diagonal([Fraction(1, 2), 0, 0])
+    half = diagonal_matrix([Fraction(1, 2), 0, 0])
     assert minor_norm(half, 1) == Fraction(3, 2)
     assert minor_norm(half, 2) == 0
-    assert minor_norm(RatMatrix.zeros(4), 2) == 0
+    assert minor_norm(zero_matrix(4), 2) == 0
 
 
 def test_minor_norm_special_cases_on_randoms():
@@ -236,7 +242,7 @@ def test_minor_norm_float_tracks_exact():
 
 def test_minor_norm_float_is_infinite_beyond_the_float_range():
     # Every entry is a float; only the norm, 10**400, is not.
-    a = RatMatrix.diagonal([Fraction(10**200)] * 2)
+    a = diagonal_matrix([Fraction(10**200)] * 2)
     assert minor_norm_float(a, 1) == 2e200
     assert minor_norm_float(a, 2) == math.inf
 
@@ -252,11 +258,11 @@ def refused_steps(call, *args) -> int:
 
 def test_compound_refuses_work_over_the_budget():
     # Each refusal comes before anything is built, so it returns at once.
-    assert refused_steps(minor_norm, RatMatrix.zeros(20), 10) >= math.comb(20, 10) ** 2
-    refused_steps(compound, RatMatrix.zeros(4, 400), 3)
+    assert refused_steps(minor_norm, zero_matrix(20), 10) >= math.comb(20, 10) ** 2
+    refused_steps(compound, zero_matrix(4, 400), 3)
     # Few minors, built from millions of partial ones: C(20, 18)**2 =
     # 36100 minors, and k = n on 24 x 24 is one minor over 2**24 levels.
-    refused_steps(compound, RatMatrix.zeros(20), 18)
+    refused_steps(compound, zero_matrix(20), 18)
     a = random_rational_matrix(random.Random(12), 24, 24)
     start = time.perf_counter()
     assert refused_steps(minor_norm, a, 24) >= 2**24
@@ -277,12 +283,12 @@ def test_submultiplicativity_check_reports_the_first_violation(monkeypatch):
     # No true pair violates the inequality, so a stand-in norm reports
     # 5 > 1 * 1 on the product a b, which the second and third pairs both
     # give; the check stops at the second.
-    a, b = RatMatrix.diagonal([1, 2]), RatMatrix.diagonal([3, 1])
+    a, b = diagonal_matrix([1, 2]), diagonal_matrix([3, 1])
     bad = mat_mul(a, b)
     monkeypatch.setattr(
         matrices, "minor_norm", lambda m, k: Fraction(5) if m == bad else Fraction(1)
     )
-    eye = RatMatrix.identity(2)
+    eye = identity_matrix(2)
     assert check_minor_norm_submultiplicative([(eye, eye), (a, b), (b, a)], 1) == (
         MinorNormCheck(False, 1, (5, 1, 1))
     )
@@ -327,8 +333,8 @@ def test_cauchy_binet_shape_errors():
 
 
 def test_rank_frozen():
-    assert rank(RatMatrix.zeros(3)) == 0
-    assert rank(RatMatrix.identity(4)) == 4
+    assert rank(zero_matrix(3)) == 0
+    assert rank(identity_matrix(4)) == 4
     assert rank(rat([[1, 2], [2, 4]])) == 1
     assert rank(rat([[1, 2, 3], [4, 5, 6]])) == 2
     assert rank(rat([["1/2"]])) == 1
@@ -336,7 +342,7 @@ def test_rank_frozen():
 
 def test_pseudoinverse_frozen():
     assert generalized_inverse(rat([[2]])).to_rows() == [[Fraction(1, 2)]]
-    assert generalized_inverse(RatMatrix.diagonal([2, 0])).to_rows() == [
+    assert generalized_inverse(diagonal_matrix([2, 0])).to_rows() == [
         [Fraction(1, 2), 0],
         [0, 0],
     ]
@@ -345,13 +351,13 @@ def test_pseudoinverse_frozen():
         [quarter, quarter],
         [quarter, quarter],
     ]
-    assert generalized_inverse(RatMatrix.zeros(3)) == RatMatrix.zeros(3)
+    assert generalized_inverse(zero_matrix(3)) == zero_matrix(3)
 
 
 def test_pseudoinverse_on_invertible_matrix_is_the_inverse():
     a = rat([[1, 2], [3, 4]])
     g = generalized_inverse(a)
-    assert mat_mul(a, g) == RatMatrix.identity(2)
+    assert mat_mul(a, g) == identity_matrix(2)
 
 
 def test_pseudoinverse_satisfies_all_four_penrose_identities():
@@ -368,8 +374,8 @@ def test_pseudoinverse_satisfies_all_four_penrose_identities():
         ga = mat_mul(g, a)
         assert mat_mul(ag, a) == a
         assert mat_mul(ga, g) == g
-        assert ag.transpose() == ag
-        assert ga.transpose() == ga
+        assert transposed(ag) == ag
+        assert transposed(ga) == ga
 
 
 def test_pseudoinverse_rejects_nonsquare():
@@ -441,12 +447,12 @@ BIG = 10**5000
         (witness_sequence, (-BIG, 1, 1), r"got n=less than -10\*\*4300, k=1$"),
         (witness_sequence, (3, BIG, 1), r"got n=3, k=more than 10\*\*4300$"),
         (witness_sequence, (3, -BIG, 1), r"got n=3, k=less than -10\*\*4300$"),
-        (minor_norm, (RatMatrix.identity(3), BIG), r"got k=more than 10\*\*4300 for a 3x3"),
-        (minor_norm, (RatMatrix.identity(3), -BIG), r"got k=less than -10\*\*4300 for a 3x3"),
-        (compound, (RatMatrix.identity(3), BIG), r"got k=more than 10\*\*4300 for a 3x3"),
-        (compound, (RatMatrix.identity(3), -BIG), r"got k=less than -10\*\*4300 for a 3x3"),
-        (minor, (RatMatrix.identity(3), (BIG,), (0,)), r"row index more than 10\*\*4300 out"),
-        (minor, (RatMatrix.identity(3), (0,), (-BIG,)), r"column index less than -10\*\*4300 out"),
+        (minor_norm, (identity_matrix(3), BIG), r"got k=more than 10\*\*4300 for a 3x3"),
+        (minor_norm, (identity_matrix(3), -BIG), r"got k=less than -10\*\*4300 for a 3x3"),
+        (compound, (identity_matrix(3), BIG), r"got k=more than 10\*\*4300 for a 3x3"),
+        (compound, (identity_matrix(3), -BIG), r"got k=less than -10\*\*4300 for a 3x3"),
+        (minor, (identity_matrix(3), (BIG,), (0,)), r"row index more than 10\*\*4300 out"),
+        (minor, (identity_matrix(3), (0,), (-BIG,)), r"column index less than -10\*\*4300 out"),
         (RatMatrix, (10**3000, BIG, ()), r"^10{3000}xmore than 10\*\*4300 matrix needs more than"),
     ],
 )
@@ -462,8 +468,8 @@ def test_boundary_point_inverse_is_the_moore_penrose_inverse():
     for n in range(2, 7):
         for k in range(1, n):
             for m in range(1, 6):
-                x, g = map(RatMatrix.diagonal, _boundary_point(n, k, m))
-                assert x == RatMatrix.diagonal([Fraction(1, m)] * k + [0] * (n - k))
+                x, g = map(diagonal_matrix, _boundary_point(n, k, m))
+                assert x == diagonal_matrix([Fraction(1, m)] * k + [0] * (n - k))
                 assert g == generalized_inverse(x)
 
 

@@ -19,6 +19,7 @@ from fractions import Fraction
 import pytest
 
 from semnorms import (
+    InvalidSemigroupError,
     NormDomainError,
     NormTable,
     ParseError,
@@ -29,6 +30,7 @@ from semnorms import (
     parse_norm_text,
     random_submultiplicative_norms,
     submultiplicative_envelope,
+    witness_sequence,
     zero_set,
 )
 from semnorms import norms
@@ -67,10 +69,6 @@ def test_norm_table_container_protocol():
     assert "1/2" in repr(NormTable([HALF]))
 
 
-def test_norm_table_constant():
-    assert NormTable.constant(3, HALF) == NormTable([HALF] * 3)
-
-
 def test_length_mismatch_rejected():
     z2 = builtin_semigroup("z2")
     with pytest.raises(ValueError, match="3 values for order 2"):
@@ -84,7 +82,7 @@ def test_length_mismatch_rejected():
 def test_constant_one_is_submultiplicative_everywhere():
     for name in ("z2", "c4", "s3", "t2", "t3", "leftzero3", "null4"):
         s = builtin_semigroup(name)
-        assert check_submultiplicative(s, NormTable.constant(s.order, 1)).ok
+        assert check_submultiplicative(s, NormTable([1] * s.order)).ok
 
 
 def test_first_violation_in_row_major_order():
@@ -183,7 +181,7 @@ def test_envelope_zeroes_near_one_cycles_at_once():
         start = time.perf_counter()
         env = submultiplicative_envelope(s, values)
         assert time.perf_counter() - start < 1
-        assert env == NormTable.constant(s.order, 0)
+        assert env == NormTable([0] * s.order)
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +246,80 @@ def test_pool_validation():
         random_submultiplicative_norms(s, -1)
     with pytest.raises(ValueError, match="count must be nonnegative"):
         random_submultiplicative_norms(s, -(10**5000))
+
+
+@pytest.mark.parametrize("count", [2.5, "3", None])
+def test_random_norms_refuse_a_non_integer_count(count):
+    # As witness_sequence refuses a non-integer m_max: before any draw.
+    with pytest.raises(ValueError, match="count must be an integer"):
+        random_submultiplicative_norms(builtin_semigroup("z2"), count)
+
+
+BIG = 10**5000
+TOO_LONG = "a rational with more than 4300 digits in its numerator or its denominator"
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: NormTable([-BIG]), NormDomainError, r"negative: less than -10\*\*4300$"),
+        (lambda: NormTable([Fraction(-1, 2)]), NormDomainError, r"negative: -1/2$"),
+        (
+            lambda: random_submultiplicative_norms(
+                builtin_semigroup("z2"), 1, value_pool=(-BIG,)
+            ),
+            NormDomainError,
+            r"negative entry: less than -10\*\*4300$",
+        ),
+        (
+            lambda: check_submultiplicative(builtin_semigroup("z2"), [Fraction(-BIG), 1]),
+            NormDomainError,
+            r"element 0 is negative: less than -10\*\*4300$",
+        ),
+        (
+            lambda: NormTable([1, Fraction(-1, BIG)]),
+            NormDomainError,
+            f"element 1 is negative: {TOO_LONG}$",
+        ),
+        (
+            lambda: witness_sequence(3, 1, Fraction(BIG)),
+            ValueError,
+            r"m_max must be an integer, got more than 10\*\*4300$",
+        ),
+        (
+            lambda: witness_sequence(3, 1, Fraction(5, 2)),
+            ValueError,
+            r"m_max must be an integer, got Fraction\(5, 2\)$",
+        ),
+        (
+            lambda: FiniteSemigroup([[BIG]]),
+            InvalidSemigroupError,
+            r"\(first at row 0, column 0: more than 10\*\*4300\)$",
+        ),
+        (
+            lambda: FiniteSemigroup([[Fraction(1, BIG)]]),
+            InvalidSemigroupError,
+            f"entry \\(0, 0\\) is not an integer: {TOO_LONG}$",
+        ),
+        (
+            lambda: FiniteSemigroup([[Fraction(1, 2)]]),
+            InvalidSemigroupError,
+            r"entry \(0, 0\) is not an integer: Fraction\(1, 2\)$",
+        ),
+    ],
+    ids=[
+        "norm-table", "norm-table-printable", "value-pool", "check-submultiplicative",
+        "norm-table-denominator", "witness-m-max", "witness-m-max-printable",
+        "semigroup-out-of-range", "semigroup-not-an-integer",
+        "semigroup-not-an-integer-printable",
+    ],
+)
+def test_a_caller_value_too_long_for_str_is_echoed_by_a_bound(call, error, message):
+    # str() refuses an int, or a Fraction's numerator or denominator, of
+    # more than 4300 digits; the package's own error prints a bound in its
+    # place, and a value str prints is echoed as before.
+    with pytest.raises(error, match=message):
+        call()
 
 
 def test_work_budget_admits_the_default_count_on_t4_and_refuses_larger_work():

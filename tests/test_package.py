@@ -5,6 +5,8 @@ Import order matters only in a fresh interpreter, so those checks run in
 one; the rest run here.
 """
 
+import ast
+import importlib
 import re
 import subprocess
 import sys
@@ -44,6 +46,54 @@ def test_no_module_shares_a_name_with_a_public_name():
     # Importing a submodule binds it on the package under its own name,
     # which would hide a public name spelled the same.
     assert set(semnorms._EXPORTS.values()).isdisjoint(semnorms.__all__)
+
+
+# The public surface.  A name joins or leaves it only with this list.
+PUBLIC_NAMES = [
+    "AxiomReport", "AxiomVerdict", "BUILTIN_SEMIGROUPS", "DEFAULT_VALUE_POOL", "FAIL",
+    "FiniteSemigroup", "GreenStructure", "INAPPLICABLE", "InvalidSemigroupError",
+    "MinorNormCheck", "NormBatch", "NormDomainError", "NormTable", "OrderRelation",
+    "PASS", "ParseError", "PropositionVerdict", "RatMatrix", "SUITE_IDS",
+    "SemnormsError", "SubmultiplicativityVerdict", "ValidationReport", "WitnessPoint",
+    "WitnessReport", "ZeroElements", "builtin_semigroup", "cauchy_binet",
+    "check_minor_norm_submultiplicative", "check_submultiplicative",
+    "classify_literature_axioms", "compound", "cyclic_group", "det",
+    "full_transformation_monoid", "generalized_inverse", "green_structure",
+    "idempotents", "inverse_set", "is_regular", "left_zero_semigroup",
+    "load_cayley_table", "load_matrix", "load_norm_table", "mat_mul", "minor_norm",
+    "minor_norm_float", "natural_order", "null_semigroup", "parse_cayley_text",
+    "parse_matrix_text", "parse_norm_text", "random_submultiplicative_norms", "rank",
+    "run_suite", "submultiplicative_envelope", "symmetric_group", "validate",
+    "witness_sequence", "zero_elements", "zero_set",
+]
+
+
+def test_public_names_are_pinned():
+    assert len(PUBLIC_NAMES) == 60
+    assert semnorms.__all__ == PUBLIC_NAMES
+
+
+def test_every_name_the_benchmark_replay_imports_resolves():
+    # bench/replay.py replays commands as library calls (``--trace 1``);
+    # an API change that would break it fails here first.
+    replay = Path(__file__).resolve().parent.parent / "bench" / "replay.py"
+    imported = [
+        (node.module, alias.name)
+        for node in ast.walk(ast.parse(replay.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "semnorms"
+        for alias in node.names
+    ]
+    assert ("semnorms.cli", "build_parser") in imported
+    assert len(imported) > 1
+    for module, name in imported:
+        assert hasattr(importlib.import_module(module), name), (module, name)
+    # The methods it calls on what it imports.
+    for owner, method in (
+        (semnorms.RatMatrix, "from_rows"),
+        (semnorms.RatMatrix, "to_rows"),
+        (semnorms.FiniteSemigroup, "identity"),
+    ):
+        assert callable(getattr(owner, method)), (owner, method)
 
 
 def test_every_public_name_resolves():
