@@ -17,18 +17,6 @@ _EXPORTS = {
     for module, names in (
         ("axioms", ("AxiomReport", "AxiomVerdict", "classify_literature_axioms")),
         (
-            "catalog",
-            (
-                "BUILTIN_SEMIGROUPS",
-                "builtin_semigroup",
-                "cyclic_group",
-                "full_transformation_monoid",
-                "left_zero_semigroup",
-                "null_semigroup",
-                "symmetric_group",
-            ),
-        ),
-        (
             "errors",
             (
                 "DEFAULT_VALUE_POOL",
@@ -60,7 +48,6 @@ _EXPORTS = {
                 "witness_sequence",
             ),
         ),
-        ("order", ("OrderRelation", "natural_order")),
         (
             "norms",
             (
@@ -89,14 +76,23 @@ _EXPORTS = {
         (
             "semigroups",
             (
+                "BUILTIN_SEMIGROUPS",
                 "FiniteSemigroup",
+                "OrderRelation",
                 "ValidationReport",
                 "ZeroElements",
+                "builtin_semigroup",
+                "cyclic_group",
+                "full_transformation_monoid",
                 "idempotents",
                 "inverse_set",
                 "is_regular",
+                "left_zero_semigroup",
                 "load_cayley_table",
+                "natural_order",
+                "null_semigroup",
                 "parse_cayley_text",
+                "symmetric_group",
                 "validate",
                 "zero_elements",
             ),

@@ -24,6 +24,10 @@ LITERAL_DIGITS = 4300
 # The least int of more than LITERAL_DIGITS digits.
 _TOO_LONG = 10**LITERAL_DIGITS
 
+# The most characters a message echoes of a value that is not a rational;
+# a longer one is named by its type instead.
+ECHO_CHARS = 80
+
 
 class SemnormsError(Exception):
     """Base class for every error raised by this package."""
@@ -72,13 +76,18 @@ class Immutable:
 
 
 def printable(value, text=repr) -> str:
-    """``text(value)`` for a message, or a bound in place of a rational
-    that ``str`` refuses: an int, or a Fraction's numerator or
-    denominator, of more than LITERAL_DIGITS digits, such as a count of
+    """``text(value)`` for a message, or a bound in its place.
+
+    A rational that ``str`` refuses is an int, or a Fraction's numerator
+    or denominator, of more than LITERAL_DIGITS digits, such as a count of
     entries for an order of thousands of digits, or a caller's argument
     or value.  An integral one prints as ``more than 10**4300`` (``less
     than -10**4300`` below zero), any other as a rational with more than
-    4300 digits in its numerator or its denominator."""
+    4300 digits in its numerator or its denominator.  Any other value
+    prints as ``text(value)`` when that is at most ECHO_CHARS characters,
+    and as ``a value of type <name>`` when it is longer or when ``text``
+    refuses it with ValueError, as it does a list that holds such an int.
+    """
     if isinstance(value, (int, Fraction)):
         p, q = value.numerator, value.denominator
         if q == 1 and abs(p) >= _TOO_LONG:
@@ -88,7 +97,21 @@ def printable(value, text=repr) -> str:
                 f"a rational with more than {LITERAL_DIGITS} digits in its "
                 "numerator or its denominator"
             )
-    return text(value)
+        return text(value)
+    try:
+        shown = text(value)
+    except ValueError:
+        shown = None
+    if shown is None or len(shown) > ECHO_CHARS:
+        return f"a value of type {type(value).__name__}"
+    return shown
+
+
+def json_int(value: int) -> int | str:
+    """``value`` for a JSON report, or its ``printable`` bound in place of
+    an int of more than LITERAL_DIGITS digits, which ``json`` cannot
+    print."""
+    return value if abs(value) < _TOO_LONG else printable(value)
 
 
 def check_budget(estimate: int, limit: int, what: str, unit: str) -> None:

@@ -57,7 +57,7 @@ class NormTable(Immutable):
         return iter(self.values)
 
     def __repr__(self):
-        return f"NormTable({[str(v) for v in self.values]})"
+        return f"NormTable({[printable(v, str) for v in self.values]})"
 
 
 def _coerce(s: FiniteSemigroup, values) -> NormTable:

@@ -27,6 +27,7 @@ from .semigroups import (
     idempotents,
     inverse_sets,
     is_regular,
+    natural_order,
     zero_elements,
 )
 
@@ -81,8 +82,9 @@ def _scan_zero_set_closed(s, norm):
 
 
 def _mixed(v) -> bool:
-    """Whether ``v`` holds a zero and a nonzero value.  P4 and P8 read
-    Green classes and the natural order, and import them, only then."""
+    """Whether ``v`` holds a zero and a nonzero value.  P4 reads Green
+    classes, and imports them, only then; P8 computes the natural order
+    only then."""
     return not all(v) and any(v)
 
 
@@ -159,7 +161,6 @@ def _scan_order_zero_downward(s, norm):
     # A violation pairs a zero value(b) with a nonzero value(a).
     if not _mixed(v):
         return PropositionVerdict("P8", PASS)
-    from .order import natural_order
     violations = [(a, b) for a, b in natural_order(s).pairs if v[b] == 0 and v[a] != 0]
     if violations:
         a, b = min(violations)

@@ -1,4 +1,6 @@
-"""Finite semigroups given by Cayley tables.
+"""Finite semigroups given by Cayley tables: validation, the structure
+derived from a table (idempotents, inverses, zeros, the natural partial
+order), the Cayley-table text format and the stock semigroups.
 
 Elements are the indices 0..n-1 and ``table[a][b]`` is the index of the
 product a*b.  Every algebraic operation works on indices only.  Optional
@@ -9,8 +11,9 @@ from ``parse_cayley_text`` to ``FiniteSemigroup``.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
-from functools import wraps
+from functools import cache, wraps
 from operator import itemgetter
 from typing import NamedTuple, Sequence
 
@@ -20,6 +23,7 @@ from .errors import (
     ParseError,
     check_budget,
     column,
+    json_int,
     printable,
     rational,
     spots,
@@ -90,7 +94,7 @@ class ValidationReport(NamedTuple):
             "valid": self.ok,
             "structural": list(self.structural),
             "out_of_range": [
-                {"row": r, "col": c, "value": v} for r, c, v in self.out_of_range
+                {"row": r, "col": c, "value": json_int(v)} for r, c, v in self.out_of_range
             ],
             "non_associative": [{"i": i, "j": j, "k": k} for i, j, k in self.non_associative],
         }
@@ -369,6 +373,47 @@ def _check_element(s: FiniteSemigroup, a: int) -> None:
 
 
 # ---------------------------------------------------------------------------
+# The natural partial order on an arbitrary semigroup.
+#
+# a <= b iff there are x, y in S^1 with a = x*b = b*y and x*a = a.  On any
+# semigroup this relation is reflexive, antisymmetric and transitive, and
+# on a group it collapses to equality.
+
+
+class OrderRelation(NamedTuple):
+    order: int
+    pairs: frozenset[tuple[int, int]]
+
+
+@derived
+def natural_order(s: FiniteSemigroup) -> OrderRelation:
+    """All pairs (a, b) with a <= b, reflexive pairs included.
+
+    Without adjoining an identity, in |E| * n lookups for the idempotents
+    E and n^2 for the right ideals.  Fix b.  A left witness x = 1 forces
+    a = b.  A left witness x in S gives a = x*b with x*a = a, so
+    x**m * b = x**(m-1) * a = a for every m >= 1; the power x**m that is
+    idempotent (every element of a finite semigroup has one) is an e in E
+    with a = e*b.  Conversely e*(e*b) = e*b for e in E.  So the first
+    half of the definition holds exactly on L(b) = {b} | {e*b : e in E}.
+    The right witness y ranges over S^1, so the second half holds exactly
+    on b*S^1 = row(b) | {b}.  The lower set of b is their intersection.
+    The tests keep the brute force over all witness pairs as the oracle.
+    """
+    t = s.table
+    idempotent_rows = [t[e] for e in idempotents(s)]
+    pairs = []
+    for b in s.elements():
+        right = set(t[b])
+        right.add(b)
+        below = {row[b] for row in idempotent_rows}
+        below &= right
+        below.add(b)
+        pairs.extend((a, b) for a in below)
+    return OrderRelation(s.order, frozenset(pairs))
+
+
+# ---------------------------------------------------------------------------
 # Text format: first line is the order n, then n lines of n space-separated
 # 0-based indices, then optionally a line "labels:" followed by n rational
 # or decimal labels (same line after the colon or on following lines).
@@ -463,3 +508,77 @@ def load_cayley_table(path) -> FiniteSemigroup:
     with open(path, encoding="utf-8") as fh:
         parsed = parse_cayley_text(fh.read())
     return FiniteSemigroup(*parsed)
+
+
+# ---------------------------------------------------------------------------
+# Small stock semigroups, constructible by name.
+#
+# Transformations compose left to right: (f*g)(x) = g(f(x)).  For the
+# groups either convention gives the same table up to relabeling; for the
+# transformation monoids the convention is fixed here once and used
+# everywhere.
+
+
+def _compose_table(maps: list[tuple[int, ...]]) -> FiniteSemigroup:
+    index = {f: i for i, f in enumerate(maps)}
+    table = tuple(
+        tuple(index[tuple(g[f[x]] for x in range(len(f)))] for g in maps) for f in maps
+    )
+    return FiniteSemigroup(table)
+
+
+def cyclic_group(n: int) -> FiniteSemigroup:
+    if n < 1:
+        raise ValueError("cyclic group needs n >= 1")
+    return FiniteSemigroup(tuple(tuple((i + j) % n for j in range(n)) for i in range(n)))
+
+
+def symmetric_group(n: int) -> FiniteSemigroup:
+    """All permutations of n points in lexicographic order."""
+    if n < 1:
+        raise ValueError("symmetric group needs n >= 1")
+    return _compose_table(sorted(itertools.permutations(range(n))))
+
+
+def full_transformation_monoid(n: int) -> FiniteSemigroup:
+    """All n^n self-maps of n points in lexicographic order."""
+    if n < 1:
+        raise ValueError("transformation monoid needs n >= 1")
+    return _compose_table(sorted(itertools.product(range(n), repeat=n)))
+
+
+def left_zero_semigroup(n: int) -> FiniteSemigroup:
+    """a*b = a for all a, b."""
+    if n < 1:
+        raise ValueError("left zero semigroup needs n >= 1")
+    return FiniteSemigroup(tuple(tuple(i for _ in range(n)) for i in range(n)))
+
+
+def null_semigroup(n: int) -> FiniteSemigroup:
+    """Every product equals element 0, the two-sided zero."""
+    if n < 1:
+        raise ValueError("null semigroup needs n >= 1")
+    return FiniteSemigroup(tuple(tuple(0 for _ in range(n)) for _ in range(n)))
+
+
+BUILTIN_SEMIGROUPS = {
+    "z2": lambda: cyclic_group(2),
+    "c4": lambda: cyclic_group(4),
+    "s3": lambda: symmetric_group(3),
+    "t2": lambda: full_transformation_monoid(2),
+    "t3": lambda: full_transformation_monoid(3),
+    "leftzero3": lambda: left_zero_semigroup(3),
+    "null4": lambda: null_semigroup(4),
+}
+
+
+@cache
+def builtin_semigroup(name: str) -> FiniteSemigroup:
+    """The stock semigroup ``name``, one shared instance per name, so the
+    structure derived on it is computed once per process."""
+    try:
+        factory = BUILTIN_SEMIGROUPS[name]
+    except KeyError:
+        known = ", ".join(sorted(BUILTIN_SEMIGROUPS))
+        raise ValueError(f"unknown semigroup name {name!r} (known: {known})") from None
+    return factory()

@@ -1,5 +1,6 @@
-"""Matrices for the matrix tests: seeded random rational ones, and the
-identity, zero, diagonal and transposed ones.
+"""Matrices for the matrix tests: seeded random rational ones, seeded
+random invertible integer ones, and the identity, zero, diagonal and
+transposed ones.
 
 Not a test module: the matrix tests import it, and their seeded draws
 depend on the order of the ``randint`` calls below.
@@ -7,11 +8,13 @@ depend on the order of the ``randint`` calls below.
 
 from fractions import Fraction
 
-from semnorms import RatMatrix
+from semnorms import RatMatrix, det
 
 # The largest |p| and q of an entry p/q of ``random_rational_matrix``.
 _MAX_NUMERATOR = 9
 _MAX_DENOMINATOR = 4
+# The largest |entry| of ``random_invertible_integer_matrix``.
+_MAX_INTEGER = 3
 
 
 def random_rational_matrix(rng, rows: int, cols: int) -> RatMatrix:
@@ -27,6 +30,18 @@ def random_rational_matrix(rng, rows: int, cols: int) -> RatMatrix:
             for _ in range(rows * cols)
         ),
     )
+
+
+def random_invertible_integer_matrix(rng, n: int) -> RatMatrix:
+    """An n x n matrix of integers in [-_MAX_INTEGER, _MAX_INTEGER] with
+    nonzero determinant: the first such draw from the supplied
+    random.Random."""
+    while True:
+        a = RatMatrix(
+            n, n, tuple(rng.randint(-_MAX_INTEGER, _MAX_INTEGER) for _ in range(n * n))
+        )
+        if det(a) != 0:
+            return a
 
 
 def identity_matrix(n: int) -> RatMatrix:

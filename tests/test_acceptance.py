@@ -14,16 +14,20 @@ import time
 from fractions import Fraction
 
 from semnorms import (
+    DEFAULT_VALUE_POOL,
     builtin_semigroup,
     cauchy_binet,
     check_minor_norm_submultiplicative,
     det,
+    full_transformation_monoid,
     generalized_inverse,
     green_structure,
     mat_mul,
     minor_norm,
     natural_order,
+    random_submultiplicative_norms,
     rank,
+    zero_set,
 )
 
 from matrix_draws import random_rational_matrix
@@ -218,3 +222,30 @@ def test_criterion_9_cli_determinism(tmp_path):
         ok = ok and first.stdout.strip() != ""
         json.loads(first.stdout)  # every report stays valid JSON
     assert _report(9, "repeated CLI invocations are byte-identical", ok)
+
+
+def test_criterion_10_fuzzed_zero_sets_are_rank_ideals():
+    # value(a) = 0 forces value(a*b) = value(b*a) = 0, so a zero set is an
+    # ideal, and the ideals of the monoid of all maps on n points are the
+    # sets {f : |im f| < j} for j in 1..n+1.  A pool with one 0 among many
+    # 1s leaves some draws a zero set between empty and everything.
+    pools = (DEFAULT_VALUE_POOL, (1, 2, 3), (Fraction(1, 2), 2, 3), (0,) + (1,) * 63)
+    ok, seen = True, set()
+    for n, count in ((3, 30), (4, 8)):
+        s = builtin_semigroup("t3") if n == 3 else full_transformation_monoid(4)
+        maps = sorted(itertools.product(range(n), repeat=n))
+        ideals = [
+            {a for a, f in enumerate(maps) if len(set(f)) < j} for j in range(1, n + 2)
+        ]
+        for pool in pools:
+            for seed in (1, 2):
+                batch = random_submultiplicative_norms(s, count, seed=seed, value_pool=pool)
+                for norm in batch.norms:
+                    zeros = zero_set(s, norm)
+                    ok = ok and zeros in ideals
+                    seen.add((n, len(zeros)))
+    # Not only the empty set and everything: a proper ideal on each monoid.
+    ok = ok and {n for n, size in seen if 0 < size < n**n} == {3, 4}
+    assert _report(
+        10, f"fuzzed zero sets on t3 and t4 are rank ideals ({len(seen)} kinds seen)", ok
+    )

@@ -750,6 +750,37 @@ def test_fuzz_reports_each_failing_law(capsys, failing_p2):
     assert f"  FAIL norm 0 {failure['norm']}: P2 witness [0, '1/2']" in text.splitlines()
 
 
+def test_fuzz_fails_a_draw_its_gate_rejects(capsys, monkeypatch):
+    # With the envelope skipped, the raw draws reach the suite; every law
+    # behind the gate is INAPPLICABLE, and the gate itself is the failure.
+    from semnorms import norms
+
+    monkeypatch.setattr(
+        norms, "_envelope_rounds", lambda s, values: (norms.NormTable(values), 1)
+    )
+    argv = ["fuzz", "t3", "--count", "10", "--seed", "3", "--pool", "1/2,1,2"]
+    code, out = run_json(capsys, *argv)
+    assert (code, out["pass"]) == (1, False)
+    assert out["verdict_counts"] == {"PASS": 0, "FAIL": 0, "INAPPLICABLE": 70}
+    assert [f["norm_index"] for f in out["failures"]] == list(range(10))
+    failure = out["failures"][0]
+    assert sorted(failure) == ["norm", "norm_index", "proposition", "status", "witness"]
+    assert (failure["proposition"], failure["status"]) == ("submultiplicative", "FAIL")
+    s = full_transformation_monoid(3)
+    a, b, vab, va, vb = failure["witness"]
+    values = [Fraction(v) for v in failure["norm"]]
+    assert [values[s.table[a][b]], values[a], values[b]] == [Fraction(vab), Fraction(va), Fraction(vb)]
+    assert Fraction(vab) > Fraction(va) * Fraction(vb)
+    code, text, _ = run_cli(capsys, *argv, "--format", "text")
+    assert code == 1
+    lines = text.splitlines()
+    assert "  result: FAIL" in lines
+    assert (
+        f"  FAIL norm 0 {failure['norm']}: submultiplicative witness {failure['witness']}"
+        in lines
+    )
+
+
 def test_norm_check_reports_a_failing_law(capsys, tmp_path, failing_p2):
     norm = tmp_path / "one.txt"
     norm.write_text("1\n1\n")
@@ -785,18 +816,16 @@ def test_witness_without_its_conclusion_exits_1(capsys, monkeypatch):
 # imports: each command loads the modules it runs and no others
 
 
-# P4 and P8 load Green classes and the natural order only for a norm that
-# mixes zero and nonzero values.  A group has no such submultiplicative
-# norm, so the z2 runs never load them; the mixed norm on null4 does.
+# P4 loads Green classes only for a norm that mixes zero and nonzero
+# values.  A group has no such submultiplicative norm, so the z2 runs
+# never load them; the mixed norm on null4 does.
 COMMAND_MODULES = {
     "--help": set(),
-    "validate": {"catalog", "semigroups"},
-    "analyze": {"catalog", "semigroups", "green", "order"},
-    "norm-check": {"catalog", "semigroups", "norms", "propositions", "axioms"},
-    "norm-check-mixed": {
-        "catalog", "semigroups", "green", "order", "norms", "propositions", "axioms",
-    },
-    "fuzz": {"catalog", "semigroups", "norms", "propositions"},
+    "validate": {"semigroups"},
+    "analyze": {"semigroups", "green"},
+    "norm-check": {"semigroups", "norms", "propositions", "axioms"},
+    "norm-check-mixed": {"semigroups", "green", "norms", "propositions", "axioms"},
+    "fuzz": {"semigroups", "norms", "propositions"},
     "minor-norm": {"matrices"},
     "witness": {"matrices"},
 }

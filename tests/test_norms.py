@@ -12,6 +12,7 @@ Frozen envelope oracles, derived by hand:
 """
 
 import itertools
+import json
 import random
 import time
 from fractions import Fraction
@@ -30,6 +31,7 @@ from semnorms import (
     parse_norm_text,
     random_submultiplicative_norms,
     submultiplicative_envelope,
+    validate,
     witness_sequence,
     zero_set,
 )
@@ -320,6 +322,37 @@ def test_a_caller_value_too_long_for_str_is_echoed_by_a_bound(call, error, messa
     # place, and a value str prints is echoed as before.
     with pytest.raises(error, match=message):
         call()
+
+
+@pytest.mark.parametrize(
+    "entry, shown",
+    [
+        ([BIG], "a value of type list"),
+        ((Fraction(1, BIG),), "a value of type tuple"),
+        ("x" * 1000, "a value of type str"),
+        ("x", "'x'"),
+        ([1, 2], "[1, 2]"),
+    ],
+    ids=["list-of-huge-int", "tuple-of-huge-fraction", "long-str", "short-str", "short-list"],
+)
+def test_a_non_integer_entry_is_echoed_within_one_bound(entry, shown):
+    # repr of a container that holds an int of more than 4300 digits raises
+    # CPython's own ValueError, and a long str would be echoed in full; the
+    # package's message names the type of either instead.
+    message = f"entry (0, 0) is not an integer: {shown}"
+    assert validate([[entry]]).structural == (message,)
+    with pytest.raises(InvalidSemigroupError) as caught:
+        FiniteSemigroup([[entry]])
+    assert str(caught.value) == message
+
+
+def test_reports_print_an_int_too_long_for_str_as_a_bound():
+    out = validate([[BIG], [-BIG]]).to_jsonable()
+    assert [e["value"] for e in out["out_of_range"]] == [
+        "more than 10**4300", "less than -10**4300",
+    ]
+    json.dumps(out)
+    assert repr(NormTable([BIG, Fraction(1, 2)])) == "NormTable(['more than 10**4300', '1/2'])"
 
 
 def test_work_budget_admits_the_default_count_on_t4_and_refuses_larger_work():

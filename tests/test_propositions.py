@@ -6,7 +6,13 @@ exercised against the raw scans, bypassing the gate, with witnesses
 re-evaluated by hand in each test.
 """
 
+import itertools
+import math
+import random
 from fractions import Fraction
+from functools import cache
+
+import pytest
 
 from semnorms import (
     FAIL,
@@ -14,7 +20,13 @@ from semnorms import (
     PASS,
     SUITE_IDS,
     NormTable,
+    RatMatrix,
     builtin_semigroup,
+    check_submultiplicative,
+    full_transformation_monoid,
+    generalized_inverse,
+    mat_mul,
+    minor_norm,
     random_submultiplicative_norms,
     run_suite,
 )
@@ -27,6 +39,8 @@ from semnorms.propositions import (
     _scan_zero_set_closed,
     _scan_zero_spreads_over_d_class,
 )
+
+from matrix_draws import identity_matrix, random_invertible_integer_matrix
 
 HALF = Fraction(1, 2)
 
@@ -212,3 +226,72 @@ def test_no_law_fails_on_generated_norms():
         for norm in random_submultiplicative_norms(s, 15, seed=9).norms:
             for verdict in run_suite(s, norm):
                 assert verdict.status != FAIL, (name, norm, verdict)
+
+
+# ---------------------------------------------------------------------------
+# the bridge: the order-k matrix norm read on a semigroup of maps
+#
+# A map f on n points has the 0/1 matrix M_f with (M_f)_{x,f(x)} = 1.  The
+# stock semigroups compose left to right, (f*g)(x) = g(f(x)), so
+# (M_f M_g)_{x,z} = [g(f(x)) = z] and f -> M_f is a homomorphism, as is
+# f -> P M_f P^-1 for an invertible P.  N_k is submultiplicative on
+# matrices, so v(f) = N_k(P M_f P^-1) is a submultiplicative norm on the
+# table, and no law of the suite may FAIL on it.  At P = I an order-k
+# minor of M_f is +-1 when f maps its rows one to one onto its columns and
+# 0 otherwise, so v(f) = C(n, k) * [|im f| >= k].
+
+
+@cache
+def semigroup_of_maps(name):
+    """The builtin ``name``, or t4, with the map on n points behind each
+    element, in element order: z2 and c4 as the powers of the cyclic
+    shift, s3 and t2 to t4 as the lexicographic lists of their maps."""
+    s = full_transformation_monoid(4) if name == "t4" else builtin_semigroup(name)
+    if name in ("z2", "c4"):
+        n = s.order
+        maps = [tuple((x + i) % n for x in range(n)) for i in range(n)]
+    elif name == "s3":
+        maps = sorted(itertools.permutations(range(3)))
+    else:
+        n = int(name[1:])
+        maps = sorted(itertools.product(range(n), repeat=n))
+    return s, maps
+
+
+def map_matrix(f):
+    n = len(f)
+    return RatMatrix(n, n, [int(f[x] == y) for x in range(n) for y in range(n)])
+
+
+# Every k for the builtins; t4 at k = 1 and 2, where its values are many.
+BRIDGE_ORDERS = {
+    "z2": (1, 2), "c4": (1, 2, 3, 4), "s3": (1, 2, 3),
+    "t2": (1, 2), "t3": (1, 2, 3), "t4": (1, 2),
+}
+
+
+def test_maps_compose_left_to_right_as_the_tables_do():
+    for name in BRIDGE_ORDERS:
+        s, maps = semigroup_of_maps(name)
+        for a, f in enumerate(maps):
+            for b, g in enumerate(maps):
+                assert maps[s.table[a][b]] == tuple(g[f[x]] for x in range(len(f)))
+
+
+@pytest.mark.parametrize(
+    "name, k", [(name, k) for name, ks in BRIDGE_ORDERS.items() for k in ks]
+)
+def test_minor_norms_of_map_matrices_obey_every_law(name, k):
+    s, maps = semigroup_of_maps(name)
+    n = len(maps[0])
+    p = random_invertible_integer_matrix(random.Random(100 + n), n)
+    p_inverse = generalized_inverse(p)
+    assert mat_mul(p, p_inverse) == identity_matrix(n)
+    plain = [minor_norm(map_matrix(f), k) for f in maps]
+    assert plain == [math.comb(n, k) * (len(set(f)) >= k) for f in maps]
+    conjugated = [
+        minor_norm(mat_mul(mat_mul(p, map_matrix(f)), p_inverse), k) for f in maps
+    ]
+    for values in (plain, conjugated):
+        assert check_submultiplicative(s, values).ok
+        assert all(verdict.status != FAIL for verdict in run_suite(s, values))

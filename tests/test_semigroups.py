@@ -315,7 +315,7 @@ def test_zero_elements():
 
 
 # ---------------------------------------------------------------------------
-# catalog
+# stock semigroups
 
 
 def test_builtin_names_and_orders():
