@@ -60,11 +60,6 @@ _EXPORTS = {
                 "random_submultiplicative_norms",
                 "submultiplicative_envelope",
                 "zero_set",
-            ),
-        ),
-        (
-            "propositions",
-            (
                 "FAIL",
                 "INAPPLICABLE",
                 "PASS",

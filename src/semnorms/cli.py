@@ -117,8 +117,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_norm_check(args) -> int:
     from .axioms import classify_literature_axioms
-    from .norms import load_norm_table
-    from .propositions import FAIL, _gated_suite
+    from .norms import FAIL, _gated_suite, load_norm_table
 
     s = _load_semigroup(args.semigroup)
     norm = load_norm_table(args.norm)
@@ -139,8 +138,7 @@ def cmd_norm_check(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
-    from .norms import random_submultiplicative_norms
-    from .propositions import FAIL, PropositionVerdict, _gated_suite
+    from .norms import FAIL, PropositionVerdict, _gated_suite, random_submultiplicative_norms
 
     s = _load_semigroup(args.semigroup)
     try:

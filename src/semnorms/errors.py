@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from typing import Iterable
 
 # The values ``norms.random_submultiplicative_norms`` draws from by default.
 DEFAULT_VALUE_POOL = (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2))
@@ -105,6 +106,23 @@ def printable(value, text=repr) -> str:
     if shown is None or len(shown) > ECHO_CHARS:
         return f"a value of type {type(value).__name__}"
     return shown
+
+
+def exact_values(values: Iterable, where, error) -> tuple[Fraction, ...]:
+    """``values`` as a tuple of Fractions, each Fraction kept as it is.
+    The first value that ``Fraction`` refuses with ArithmeticError or
+    ValueError, such as an infinity or a NaN, at index i raises
+    ``error("<where(i)> is not a finite rational: <value>")``, the value
+    echoed through ``printable``."""
+    out = []
+    for i, v in enumerate(values):
+        if type(v) is not Fraction:
+            try:
+                v = Fraction(v)
+            except (ArithmeticError, ValueError):
+                raise error(f"{where(i)} is not a finite rational: {printable(v)}") from None
+        out.append(v)
+    return tuple(out)
 
 
 def json_int(value: int) -> int | str:

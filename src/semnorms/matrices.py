@@ -33,6 +33,7 @@ from .errors import (
     check_budget,
     column,
     exact_text,
+    exact_values,
     printable,
     rational,
     spots,
@@ -42,7 +43,8 @@ from .errors import (
 
 class RatMatrix(Immutable):
     """Immutable row-major matrix of exact rationals, equal and hashed by
-    its shape and entries."""
+    its shape and entries.  An entry that is not a finite rational, such
+    as an infinity or a NaN, raises ValueError naming its row and column."""
 
     __slots__ = ("rows", "cols", "entries")
 
@@ -51,7 +53,9 @@ class RatMatrix(Immutable):
             raise ValueError("matrix dimensions must be integers")
         if rows < 1 or cols < 1:
             raise ValueError("matrix dimensions must be positive")
-        entries = tuple(x if type(x) is Fraction else Fraction(x) for x in entries)
+        entries = exact_values(
+            entries, lambda i: f"matrix entry ({i // cols}, {i % cols})", ValueError
+        )
         if len(entries) != rows * cols:
             raise ValueError(
                 f"{printable(rows)}x{printable(cols)} matrix needs "

@@ -23,6 +23,7 @@ from .errors import (
     ParseError,
     check_budget,
     column,
+    exact_values,
     json_int,
     printable,
     rational,
@@ -139,18 +140,22 @@ def _validate(table: Sequence[Sequence[object]]) -> tuple[ValidationReport, tupl
     """``validate``'s report, and the generators G that Light's test
     picked when the table is associative (``()`` otherwise).
 
-    A table whose every row has n entries of type exactly ``int``, with
-    ``min >= 0`` and ``max < n``, has nothing to list: those four checks
-    run in C per row and skip the per-entry loop.  Any other table,
-    including one with ``bool`` or other ``int`` subclass entries, goes
-    through the loop, which decides the report as before.
+    A table whose every row has n entries, whose entries all have type
+    exactly ``int``, and whose distinct entries have ``min >= 0`` and
+    ``max < n`` has nothing to list: those three checks run in C over the
+    whole table, in that order, and skip the per-entry loop.  The set of
+    distinct entries is taken only once every entry is a plain ``int``, so
+    a ``bool`` or a ``1.0`` cannot hide in it behind an equal ``1``.  Any
+    other table goes through the loop, which decides the report as before.
     """
     n = len(table)
     if n == 0:
         return ValidationReport(structural=("empty table",)), ()
-    if not all(
-        len(row) == n and set(map(type, row)) == {int} and min(row) >= 0 and max(row) < n
-        for row in table
+    if not (
+        all(len(row) == n for row in table)
+        and set(map(type, itertools.chain.from_iterable(table))) == {int}
+        and min(entries := set().union(*table)) >= 0
+        and max(entries) < n
     ):
         structural = [
             f"row {i} has {len(row)} entries, expected {n}"
@@ -258,16 +263,22 @@ def derived(fn):
     return once
 
 
+def _structural_error(message: str) -> InvalidSemigroupError:
+    return InvalidSemigroupError(ValidationReport(structural=(message,)))
+
+
 class FiniteSemigroup(Immutable):
     """An immutable finite semigroup, equal and hashed by its table and
     labels.
 
     Construction validates the table and raises InvalidSemigroupError when
-    it is not square, not in range, or not associative, or ValueError when
-    Light's test, or the listing of a table that is not associative, is
-    over its budget (see ``validate``).  ``labels`` is an
-    optional per-element tuple of exact rationals, stored and compared but
-    read by no computation (see the module docstring).  ``generators`` is the
+    it is not square, not in range, or not associative, or when a label is
+    not a finite rational or the labels do not match the elements one to
+    one, or ValueError when Light's test, or the listing of a table that
+    is not associative, is over its budget (see ``validate``).  ``labels``
+    is an optional per-element tuple of exact rationals, stored and
+    compared but read by no computation (see the module docstring).
+    ``generators`` is the
     generating set G that Light's test picked during validation: every
     element is a product of elements of G.  It and the ``@derived``
     structure (Green classes, natural order, idempotents, zeros, ...) are
@@ -282,15 +293,9 @@ class FiniteSemigroup(Immutable):
         if not report.ok:
             raise InvalidSemigroupError(report)
         if labels is not None:
-            labels = tuple(Fraction(x) for x in labels)
+            labels = exact_values(labels, "label {}".format, _structural_error)
             if len(labels) != len(table):
-                raise InvalidSemigroupError(
-                    ValidationReport(
-                        structural=(
-                            f"{len(labels)} labels for {len(table)} elements",
-                        )
-                    )
-                )
+                raise _structural_error(f"{len(labels)} labels for {len(table)} elements")
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "generators", generators)

@@ -239,7 +239,7 @@ def test_norm_check_text_format(capsys, tmp_path):
 
 def test_norm_check_scans_submultiplicativity_once(capsys, tmp_path, monkeypatch):
     # The verdict it prints is the one the P2-P8 gate computed.
-    from semnorms import cli, norms, propositions
+    from semnorms import cli, norms
 
     calls = []
     scan = norms.check_submultiplicative
@@ -249,7 +249,7 @@ def test_norm_check_scans_submultiplicativity_once(capsys, tmp_path, monkeypatch
         return scan(s, norm)
 
     # Every binding of the scan: where it is defined, and where it is imported.
-    for module in (norms, propositions, cli):
+    for module in (norms, cli):
         monkeypatch.setattr(module, "check_submultiplicative", counted, raising=False)
     for values, expected in (("1\n1\n", 0), ("1\n1/2\n", 1)):
         norm = tmp_path / "norm.txt"
@@ -263,7 +263,7 @@ def test_norm_check_scans_submultiplicativity_once(capsys, tmp_path, monkeypatch
 def test_fuzz_scans_submultiplicativity_once_per_norm(capsys, monkeypatch):
     # The generator's envelope verifies its own draws; the only scans left
     # are the P2-P8 gates, one per generated norm.
-    from semnorms import cli, norms, propositions
+    from semnorms import cli, norms
 
     calls = []
     scan = norms.check_submultiplicative
@@ -272,7 +272,7 @@ def test_fuzz_scans_submultiplicativity_once_per_norm(capsys, monkeypatch):
         calls.append(1)
         return scan(s, norm)
 
-    for module in (norms, propositions, cli):
+    for module in (norms, cli):
         monkeypatch.setattr(module, "check_submultiplicative", counted, raising=False)
     for pool in ("1,2,3", "1/2,1,2"):
         calls.clear()
@@ -723,14 +723,12 @@ def test_witness_text_format(capsys):
 @pytest.fixture
 def failing_p2(monkeypatch):
     """P2's scan replaced by one that fails with a Fraction in its witness."""
-    from semnorms import propositions
+    from semnorms import norms
 
     def fails(s, norm):
-        return propositions.PropositionVerdict(
-            "P2", propositions.FAIL, witness=(0, Fraction(1, 2))
-        )
+        return norms.PropositionVerdict("P2", norms.FAIL, witness=(0, Fraction(1, 2)))
 
-    monkeypatch.setitem(propositions._SCANS, "P2", fails)
+    monkeypatch.setitem(norms._SCANS, "P2", fails)
 
 
 def test_fuzz_reports_each_failing_law(capsys, failing_p2):
@@ -823,9 +821,9 @@ COMMAND_MODULES = {
     "--help": set(),
     "validate": {"semigroups"},
     "analyze": {"semigroups", "green"},
-    "norm-check": {"semigroups", "norms", "propositions", "axioms"},
-    "norm-check-mixed": {"semigroups", "green", "norms", "propositions", "axioms"},
-    "fuzz": {"semigroups", "norms", "propositions"},
+    "norm-check": {"semigroups", "norms", "axioms"},
+    "norm-check-mixed": {"semigroups", "green", "norms", "axioms"},
+    "fuzz": {"semigroups", "norms"},
     "minor-norm": {"matrices"},
     "witness": {"matrices"},
 }

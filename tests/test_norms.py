@@ -13,6 +13,7 @@ Frozen envelope oracles, derived by hand:
 
 import itertools
 import json
+import math
 import random
 import time
 from fractions import Fraction
@@ -25,6 +26,7 @@ from semnorms import (
     NormTable,
     ParseError,
     FiniteSemigroup,
+    RatMatrix,
     builtin_semigroup,
     check_submultiplicative,
     load_norm_table,
@@ -322,6 +324,35 @@ def test_a_caller_value_too_long_for_str_is_echoed_by_a_bound(call, error, messa
     # place, and a value str prints is echoed as before.
     with pytest.raises(error, match=message):
         call()
+
+
+NON_FINITE_CALLS = {
+    "norm-table": (lambda x: NormTable([1, x]), NormDomainError, "norm value at element 1"),
+    "check-submultiplicative": (
+        lambda x: check_submultiplicative(builtin_semigroup("z2"), [x, 1]),
+        NormDomainError,
+        "norm value at element 0",
+    ),
+    "value-pool": (
+        lambda x: random_submultiplicative_norms(builtin_semigroup("z2"), 1, value_pool=[1, x]),
+        NormDomainError,
+        "value pool entry 1",
+    ),
+    "matrix": (lambda x: RatMatrix(2, 2, [1, 2, 3, x]), ValueError, r"matrix entry \(1, 1\)"),
+    "matrix-rows": (lambda x: RatMatrix.from_rows([[1], [x]]), ValueError, r"matrix entry \(1, 0\)"),
+    "labels": (lambda x: FiniteSemigroup([[0]], [x]), InvalidSemigroupError, "label 0"),
+}
+
+
+@pytest.mark.parametrize("value, shown", [(math.inf, "inf"), (-math.inf, "-inf"), (math.nan, "nan")])
+@pytest.mark.parametrize("call", sorted(NON_FINITE_CALLS))
+def test_a_non_finite_value_ends_in_the_package_error(call, value, shown):
+    # Fraction refuses an infinity with OverflowError and a NaN with
+    # ValueError; each entry point names the position and echoes the value.
+    make, error, where = NON_FINITE_CALLS[call]
+    with pytest.raises(error, match=f"^{where} is not a finite rational: {shown}$") as info:
+        make(value)
+    assert type(info.value) is error
 
 
 @pytest.mark.parametrize(

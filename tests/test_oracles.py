@@ -62,8 +62,8 @@ from semnorms import (
 )
 from semnorms import matrices, norms
 from semnorms.matrices import _boundary_point, _diagonal_norm, _eliminate
-from semnorms.norms import _envelope_rounds
-from semnorms.propositions import (
+from semnorms.norms import (
+    _envelope_rounds,
     _scan_group_lower_bound,
     _scan_idempotent_dichotomy,
     _scan_inverse_lower_bound,

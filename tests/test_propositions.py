@@ -30,7 +30,7 @@ from semnorms import (
     random_submultiplicative_norms,
     run_suite,
 )
-from semnorms.propositions import (
+from semnorms.norms import (
     _scan_group_lower_bound,
     _scan_idempotent_dichotomy,
     _scan_inverse_lower_bound,
