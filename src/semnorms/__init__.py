@@ -15,7 +15,6 @@ __version__ = "0.1.0"
 _EXPORTS = {
     name: module
     for module, names in (
-        ("axioms", ("AxiomReport", "AxiomVerdict", "classify_literature_axioms")),
         (
             "errors",
             (
@@ -26,7 +25,6 @@ _EXPORTS = {
                 "SemnormsError",
             ),
         ),
-        ("green", ("GreenStructure", "green_structure")),
         (
             "matrices",
             (
@@ -66,6 +64,9 @@ _EXPORTS = {
                 "SUITE_IDS",
                 "PropositionVerdict",
                 "run_suite",
+                "AxiomReport",
+                "AxiomVerdict",
+                "classify_literature_axioms",
             ),
         ),
         (
@@ -73,12 +74,14 @@ _EXPORTS = {
             (
                 "BUILTIN_SEMIGROUPS",
                 "FiniteSemigroup",
+                "GreenStructure",
                 "OrderRelation",
                 "ValidationReport",
                 "ZeroElements",
                 "builtin_semigroup",
                 "cyclic_group",
                 "full_transformation_monoid",
+                "green_structure",
                 "idempotents",
                 "inverse_set",
                 "is_regular",

@@ -28,6 +28,7 @@ from .errors import (
     SemnormsError,
     exact_text,
     rational,
+    read_text,
 )
 
 
@@ -72,8 +73,7 @@ def cmd_validate(args) -> int:
 
     s = _builtin(args.input)
     if s is None:
-        with open(args.input, encoding="utf-8") as fh:
-            table, _ = parse_cayley_text(fh.read())
+        table, _ = parse_cayley_text(read_text(args.input))
     else:
         table = s.table
     report = validate(table)
@@ -84,8 +84,14 @@ def cmd_validate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    from .green import green_structure
-    from .semigroups import idempotents, inverse_sets, is_regular, natural_order, zero_elements
+    from .semigroups import (
+        green_structure,
+        idempotents,
+        inverse_sets,
+        is_regular,
+        natural_order,
+        zero_elements,
+    )
 
     s = _load_semigroup(args.input)
     g = green_structure(s)
@@ -116,8 +122,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_norm_check(args) -> int:
-    from .axioms import classify_literature_axioms
-    from .norms import FAIL, _gated_suite, load_norm_table
+    from .norms import FAIL, _gated_suite, classify_literature_axioms, load_norm_table
 
     s = _load_semigroup(args.semigroup)
     norm = load_norm_table(args.norm)

@@ -1,6 +1,6 @@
 """Shared exception types, the immutable base of the value classes, the
-readers of one word of a text format, and the two input vocabularies the
-command line offers.
+reader of an input file and of one word of a text format, and the two
+input vocabularies the command line offers.
 
 This module imports nothing heavier than ``fractions``, so the command
 line can build its argument parser before it loads any kernel.
@@ -15,7 +15,7 @@ from typing import Iterable
 # The values ``norms.random_submultiplicative_norms`` draws from by default.
 DEFAULT_VALUE_POOL = (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2))
 
-# How ``axioms.classify_literature_axioms`` may read the binary operation.
+# How ``norms.classify_literature_axioms`` may read the binary operation.
 NOTATIONS = ("multiplicative", "additive")
 
 # The most digits a rational literal may spell out in its numerator or
@@ -154,6 +154,21 @@ def exact_text(value: Fraction, what: str) -> str:
             "or its denominator, more than a report prints"
         )
     return str(value)
+
+
+def read_text(path) -> str:
+    """The text of the file at ``path``: its bytes decoded as UTF-8, less
+    a leading byte-order mark, as ``utf-8-sig`` reads them.  Bytes that
+    are not UTF-8 raise ValueError naming the path and the offset of the
+    first bad byte in the file."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8").removeprefix("\ufeff")
+    except UnicodeDecodeError as exc:
+        raise ValueError(
+            f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}"
+        ) from None
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,7 @@ from .errors import (
     exact_values,
     printable,
     rational,
+    read_text,
     spots,
     word_value,
 )
@@ -687,5 +688,4 @@ def parse_matrix_text(text: str) -> RatMatrix:
 
 
 def load_matrix(path) -> RatMatrix:
-    with open(path, encoding="utf-8") as fh:
-        return parse_matrix_text(fh.read())
+    return parse_matrix_text(read_text(path))

@@ -11,16 +11,16 @@ from fractions import Fraction
 
 import pytest
 
-from semnorms import axioms, builtin_semigroup, classify_literature_axioms
-from semnorms.axioms import (
+from semnorms import builtin_semigroup, classify_literature_axioms, norms
+from semnorms.norms import (
     AMBIGUOUS,
     FAILS,
     HOLDS,
-    INAPPLICABLE,
+    NO_SUCH_ELEMENT,
     NOT_FINITELY_CHECKABLE,
 )
 
-ALL_STATUSES = {HOLDS, FAILS, NOT_FINITELY_CHECKABLE, INAPPLICABLE, AMBIGUOUS}
+ALL_STATUSES = {HOLDS, FAILS, NOT_FINITELY_CHECKABLE, NO_SUCH_ELEMENT, AMBIGUOUS}
 
 
 def find(report, definition, axiom):
@@ -87,8 +87,8 @@ def test_multiplicativity_witness_on_null_semigroup():
 
 def test_identity_axioms_without_identity():
     report = classify_literature_axioms(builtin_semigroup("null4"), [0, 1, 1, 1])
-    assert find(report, "kryzius", "identity_norm_one").status == INAPPLICABLE
-    assert find(report, "dikran", "identity_norm_zero").status == INAPPLICABLE
+    assert find(report, "kryzius", "identity_norm_one").status == NO_SUCH_ELEMENT
+    assert find(report, "dikran", "identity_norm_zero").status == NO_SUCH_ELEMENT
 
 
 def test_zero_normalization_multiplicative_reading():
@@ -100,7 +100,7 @@ def test_zero_normalization_multiplicative_reading():
     # z2 has no zero element at all.
     report = classify_literature_axioms(builtin_semigroup("z2"), [1, 1])
     entry = find(report, "valero", "zero_normalization")
-    assert entry.status == INAPPLICABLE
+    assert entry.status == NO_SUCH_ELEMENT
     assert "no two-sided zero" in entry.note
 
 
@@ -148,9 +148,9 @@ def test_each_pair_scan_runs_once_per_call(monkeypatch):
     # pair scan starts by splitting the values into numerators and
     # denominators, so two splits mean two scans.
     splits = []
-    split = axioms._numerators_denominators
+    split = norms._numerators_denominators
     monkeypatch.setattr(
-        axioms, "_numerators_denominators", lambda v: splits.append(v) or split(v)
+        norms, "_numerators_denominators", lambda v: splits.append(v) or split(v)
     )
     classify_literature_axioms(builtin_semigroup("t3"), [1] * 27)
     assert len(splits) == 2

@@ -83,6 +83,35 @@ def test_validate_missing_file(capsys):
     assert "error:" in err
 
 
+# One input file per reader: the Cayley table through validate's own
+# read and through load_cayley_table, the norm table and the matrix.
+READERS = {
+    "validate": (["validate"], "2\n0 1\n1 0\n"),
+    "analyze": (["analyze"], "2\n0 1\n1 0\n"),
+    "norm-check": (["norm-check", "z2"], "1\n1\n"),
+    "minor-norm": (["minor-norm", "--k", "1"], "2 2\n1 2\n3 4\n"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(READERS))
+def test_input_files_are_utf8_with_an_optional_bom(capsys, tmp_path, monkeypatch, command):
+    """A leading byte-order mark changes no output; bytes that are not
+    UTF-8 exit 2 with the file's name and the offset of the bad byte."""
+    argv, text = READERS[command]
+    outputs = []
+    for folder, data in (("plain", text.encode()), ("bom", b"\xef\xbb\xbf" + text.encode())):
+        (tmp_path / folder).mkdir()
+        (tmp_path / folder / "in.txt").write_bytes(data)
+        monkeypatch.chdir(tmp_path / folder)
+        outputs.append(run_cli(capsys, *argv, "in.txt"))
+    assert outputs[0] == outputs[1] == (0, outputs[0][1], "")
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(text.encode()[:2] + b"\xff" + text.encode()[2:])
+    code, out, err = run_cli(capsys, *argv, str(bad))
+    assert (code, out) == (2, "")
+    assert err == f"error: {bad} is not UTF-8 text: invalid start byte at byte 2\n"
+
+
 def test_validate_parse_error(capsys, tmp_path):
     path = tmp_path / "junk.txt"
     path.write_text("2\n0 x\n1 0\n")
@@ -814,15 +843,15 @@ def test_witness_without_its_conclusion_exits_1(capsys, monkeypatch):
 # imports: each command loads the modules it runs and no others
 
 
-# P4 loads Green classes only for a norm that mixes zero and nonzero
-# values.  A group has no such submultiplicative norm, so the z2 runs
-# never load them; the mixed norm on null4 does.
+# Each command loads one layer: the table side, the table side with its
+# norms, or the matrices.  A norm that mixes zero and nonzero values,
+# which runs P4's Green classes, loads no more than any other.
 COMMAND_MODULES = {
     "--help": set(),
     "validate": {"semigroups"},
-    "analyze": {"semigroups", "green"},
-    "norm-check": {"semigroups", "norms", "axioms"},
-    "norm-check-mixed": {"semigroups", "green", "norms", "axioms"},
+    "analyze": {"semigroups"},
+    "norm-check": {"semigroups", "norms"},
+    "norm-check-mixed": {"semigroups", "norms"},
     "fuzz": {"semigroups", "norms"},
     "minor-norm": {"matrices"},
     "witness": {"matrices"},

@@ -73,7 +73,14 @@ from semnorms.norms import (
     _scan_zero_spreads_over_d_class,
 )
 
-from matrix_draws import diagonal_matrix, identity_matrix, transposed, zero_matrix
+from matrix_draws import (
+    diagonal_matrix,
+    identity_matrix,
+    random_invertible_integer_matrix,
+    random_rational_matrix,
+    transposed,
+    zero_matrix,
+)
 from references import minor, natural_leq
 
 NON_ASSOCIATIVE_TABLE = [[0, 1], [0, 0]]
@@ -1357,6 +1364,87 @@ def test_every_inner_inverse_of_a_witness_point_meets_the_bound(case):
     assert minor_norm(b, k) >= bound
     if u == v == zero_matrix(n):
         assert b == g
+
+
+# Laws P2, P3 and P5 on the matrix side.  N_k is submultiplicative on
+# M_n(Q), so it obeys the laws every submultiplicative norm obeys; each
+# is checked at every k on seeded draws of order 2 to 5, with the
+# products by the triple loop and N_k(x) = 0 exactly when rank x < k.
+
+
+def seeded_orders():
+    """(n, rng): an order from 2 to 5 and a random.Random of a drawn seed."""
+    return st.tuples(st.integers(2, 5), st.integers(0, 2**32 - 1).map(random.Random))
+
+
+def product(*factors):
+    """The product of ``factors``, left to right, by the triple loop."""
+    out = factors[0]
+    for factor in factors[1:]:
+        out = RatMatrix.from_rows(fraction_product(out, factor))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeded_orders(), st.data())
+def test_idempotent_matrices_have_norm_zero_or_at_least_one(case, data):
+    """P2: e = P diag(I_r, 0) P^-1 is idempotent of rank r, and N_k(e)
+    is 0 (k > r) or at least 1 (k <= r)."""
+    n, rng = case
+    r = data.draw(st.integers(0, n))
+    p = random_invertible_integer_matrix(rng, n)
+    p_inv = generalized_inverse(p)
+    assert product(p, p_inv) == identity_matrix(n)
+    e = product(p, diagonal_matrix([1] * r + [0] * (n - r)), p_inv)
+    assert product(e, e) == e
+    assert rank(e) == r
+    for k in range(1, n + 1):
+        value = minor_norm(e, k)
+        assert value >= 1 if k <= r else value == 0, (k, r, value)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeded_orders(), st.data())
+def test_the_zero_set_of_a_minor_norm_absorbs_products(case, data):
+    """P3, as an ideal: a = B C through an inner dimension below k has
+    N_k(a) = 0, and so have a b and b a for every b."""
+    n, rng = case
+    k = data.draw(st.integers(1, n))
+    inner = data.draw(st.integers(0, k - 1))
+    a = (
+        product(random_rational_matrix(rng, n, inner), random_rational_matrix(rng, inner, n))
+        if inner else zero_matrix(n)
+    )
+    b = random_rational_matrix(rng, n, n)
+    for x in (a, product(a, b), product(b, a)):
+        assert rank(x) <= inner
+        assert minor_norm(x, k) == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeded_orders(), st.data())
+def test_inner_inverses_meet_the_reciprocal_bound(case, data):
+    """P5: b = a^+ + (I - a^+ a) U + V (I - a a^+) satisfies a b a = a
+    for every U and V, and N_k(a) N_k(b) >= 1 wherever N_k(a) > 0."""
+    n, rng = case
+    inner = data.draw(st.integers(1, n))
+    a = product(random_rational_matrix(rng, n, inner), random_rational_matrix(rng, inner, n))
+    g = generalized_inverse(a)
+    u, v = (
+        random_rational_matrix(rng, n, n) if data.draw(st.booleans()) else zero_matrix(n)
+        for _ in "uv"
+    )
+    b = RatMatrix.from_rows(fraction_sum(
+        g.to_rows(),
+        fraction_product(identity_minus_product(g, a), u),
+        fraction_product(v, identity_minus_product(a, g)),
+    ))
+    assert product(a, b, a) == a
+    for k in range(1, n + 1):
+        norm_a = minor_norm(a, k)
+        assert (norm_a > 0) == (k <= rank(a))
+        if norm_a:
+            assert norm_a * minor_norm(b, k) >= 1, (k, norm_a)
 
 
 @settings(max_examples=200, deadline=None)

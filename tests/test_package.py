@@ -117,6 +117,45 @@ def test_dir_lists_every_public_name():
     assert set(semnorms.__all__) <= set(dir(semnorms))
 
 
+# The sibling modules each module imports at its top: three layers over
+# ``errors``, one per object of the paper (the finite semigroup, its
+# norms, the matrices), and a command line that loads a layer only
+# inside the command that runs it.
+LAYERS = {
+    "__init__": set(),
+    "__main__": {"cli"},
+    "errors": set(),
+    "semigroups": {"errors"},
+    "norms": {"errors", "semigroups"},
+    "matrices": {"errors"},
+    "text": set(),
+    "cli": {"errors"},
+}
+
+
+def test_modules_import_their_layers_and_no_private_names():
+    package = Path(semnorms.__file__).resolve().parent
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in package.glob("*.py")}
+    assert set(trees) == set(LAYERS)
+    private = set()
+    for name, tree in trees.items():
+        top = {
+            node.module.split(".")[0] if node.module else alias.name
+            for node in tree.body
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            for alias in node.names
+        }
+        assert top == LAYERS[name], name
+        private |= {
+            (name, alias.name)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            for alias in node.names
+            if alias.name.startswith("_")
+        }
+    assert private == {("cli", "_gated_suite")}
+
+
 def test_submodules_stay_reachable_as_attributes():
     code = "import semnorms; print(semnorms.norms.__name__, semnorms.matrices.WORK_BUDGET > 0)"
     assert fresh(code) == "semnorms.norms True"
