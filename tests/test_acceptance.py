@@ -5,11 +5,8 @@ arithmetic checks are exact (Fraction equality, no tolerances); the CLI
 criteria run the installed module in fresh subprocesses.
 """
 
-import itertools
 import json
 import random
-import subprocess
-import sys
 import time
 from fractions import Fraction
 
@@ -30,24 +27,15 @@ from semnorms import (
     zero_set,
 )
 
-from matrix_draws import random_rational_matrix
+from references import image_size_classes, run_python
+from strategies import SUITE, random_rational_matrix
 
-SUITE = ("z2", "c4", "s3", "t2", "t3", "leftzero3", "null4")
 GROUPS = ("z2", "c4", "s3")
 
 
 def _report(number, name, ok):
     print(f"ACCEPTANCE {number} {name}: {'PASS' if ok else 'FAIL'}")
     return ok
-
-
-def _run_cli(*argv):
-    return subprocess.run(
-        [sys.executable, "-m", "semnorms", *argv],
-        capture_output=True,
-        text=True,
-        timeout=300,
-    )
 
 
 def test_criterion_1_minor_norm_submultiplicative_at_scale():
@@ -107,7 +95,7 @@ def test_criterion_3_special_cases():
 def test_criterion_4_witness_cli():
     ok = True
     for k in (1, 2):
-        proc = _run_cli("witness", "--n", "3", "--k", str(k), "--m-max", "10")
+        proc = run_python("-m", "semnorms", "witness", "--n", "3", "--k", str(k), "--m-max", "10")
         ok = ok and proc.returncode == 0
         out = json.loads(proc.stdout)
         ok = ok and out["not_closed"] is True
@@ -147,7 +135,7 @@ def test_criterion_6_fuzz_suite_zero_failures():
     ok = True
     for name in SUITE:
         for seed in (1, 2, 3):
-            proc = _run_cli("fuzz", name, "--count", "50", "--seed", str(seed))
+            proc = run_python("-m", "semnorms", "fuzz", name, "--count", "50", "--seed", str(seed))
             out = json.loads(proc.stdout)
             ok = ok and proc.returncode == 0 and out["pass"] is True
             ok = ok and out["generated"] == 50
@@ -162,11 +150,7 @@ def test_criterion_6_fuzz_suite_zero_failures():
 def test_criterion_7_green_structure_oracle():
     ok = True
     for n, name, expected_sizes in ((2, "t2", [2, 2]), (3, "t3", [3, 6, 18])):
-        maps = sorted(itertools.product(range(n), repeat=n))
-        by_image_size = {}
-        for index, f in enumerate(maps):
-            by_image_size.setdefault(len(set(f)), set()).add(index)
-        oracle = {frozenset(v) for v in by_image_size.values()}
+        oracle = set(image_size_classes(n).values())
         computed = set(green_structure(builtin_semigroup(name)).d_classes)
         ok = ok and computed == oracle
         ok = ok and sorted(len(c) for c in computed) == sorted(expected_sizes)
@@ -215,8 +199,8 @@ def test_criterion_9_cli_determinism(tmp_path):
     )
     ok = True
     for argv in invocations:
-        first = _run_cli(*argv)
-        second = _run_cli(*argv)
+        first = run_python("-m", "semnorms", *argv)
+        second = run_python("-m", "semnorms", *argv)
         ok = ok and first.stdout == second.stdout
         ok = ok and first.returncode == second.returncode
         ok = ok and first.stdout.strip() != ""
@@ -233,9 +217,10 @@ def test_criterion_10_fuzzed_zero_sets_are_rank_ideals():
     ok, seen = True, set()
     for n, count in ((3, 30), (4, 8)):
         s = builtin_semigroup("t3") if n == 3 else full_transformation_monoid(4)
-        maps = sorted(itertools.product(range(n), repeat=n))
+        classes = image_size_classes(n)
         ideals = [
-            {a for a, f in enumerate(maps) if len(set(f)) < j} for j in range(1, n + 2)
+            {a for size, members in classes.items() if size < j for a in members}
+            for j in range(1, n + 2)
         ]
         for pool in pools:
             for seed in (1, 2):

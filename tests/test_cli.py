@@ -32,6 +32,8 @@ import semnorms
 from semnorms import full_transformation_monoid, random_submultiplicative_norms
 from semnorms.cli import main
 
+from references import run_python
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -43,16 +45,6 @@ def run_json(capsys, *argv):
     code, out, err = run_cli(capsys, *argv)
     assert err == ""
     return code, json.loads(out)
-
-
-def run_module(*argv, python_options=(), timeout=30):
-    """``python -m semnorms ...`` in a fresh process."""
-    return subprocess.run(
-        [sys.executable, *python_options, "-m", "semnorms", *argv],
-        capture_output=True,
-        text=True,
-        timeout=timeout,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -400,9 +392,9 @@ def test_fuzz_with_near_one_cycles_finishes():
     # Every draw from this pool has cycles whose product is just below 1;
     # the envelope must zero them rather than pump them.  A fresh process
     # with a timeout turns a hang into a failure.
-    result = run_module(
-        "fuzz", "t3", "--count", "30", "--seed", "1", "--pool", "1/1000000,9999/10000,1",
-        timeout=10,
+    result = run_python(
+        "-m", "semnorms", "fuzz", "t3", "--count", "30", "--seed", "1",
+        "--pool", "1/1000000,9999/10000,1", timeout=10,
     )
     assert result.returncode == 0
     assert "Traceback" not in result.stderr
@@ -890,7 +882,7 @@ def test_command_imports_only_what_it_runs(command, fmt, tmp_path):
         argv, expected = [*argv, "--format", "text"], expected | {"text"}
     # -v reports every module the import system loads, also those loaded
     # through importlib by the package's lazy attributes.
-    result = run_module(*argv, python_options=("-v",))
+    result = run_python("-v", "-m", "semnorms", *argv)
     assert result.returncode == 0, result.stderr
     loaded = set(re.findall(r"^import 'semnorms\.(\w+)'", result.stderr, re.MULTILINE))
     assert loaded == expected
@@ -995,20 +987,18 @@ def test_module_run_prints_what_main_returns(
 def test_tools_that_report_at_exit_still_report():
     # cProfile prints its table after the program; ``run`` must exit
     # normally under it, or the table is lost.
-    profiled = run_module("validate", "t2", python_options=("-m", "cProfile"))
+    profiled = run_python("-m", "cProfile", "-m", "semnorms", "validate", "t2")
     assert profiled.returncode == 0, profiled.stderr
     assert '"valid": true' in profiled.stdout
     assert "function calls" in profiled.stdout and "Ordered by" in profiled.stdout
-    traced = subprocess.run(
-        [sys.executable, "-m", "trace", "--listfuncs", "--module", "semnorms", "validate", "z2"],
-        capture_output=True, text=True, timeout=60,
+    traced = run_python(
+        "-m", "trace", "--listfuncs", "--module", "semnorms", "validate", "z2", timeout=60
     )
     assert traced.returncode == 0, traced.stderr
     assert "functions called:" in traced.stdout
     # -i opens a prompt after the program.
-    inspected = subprocess.run(
-        [sys.executable, "-i", "-m", "semnorms", "validate", "z2"],
-        input="print('inspected')\n", capture_output=True, text=True, timeout=30,
+    inspected = run_python(
+        "-i", "-m", "semnorms", "validate", "z2", input="print('inspected')\n"
     )
     assert inspected.stdout.rstrip().endswith("inspected")
 

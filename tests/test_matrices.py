@@ -35,29 +35,15 @@ from semnorms import (
 from semnorms import matrices
 from semnorms.matrices import WORK_BUDGET, _boundary_point
 
-from matrix_draws import (
+from references import laplace_det, minor
+from strategies import (
+    BIG,
     diagonal_matrix,
     identity_matrix,
     random_rational_matrix,
     transposed,
     zero_matrix,
 )
-from references import minor
-
-
-def laplace_det(rows):
-    """Cofactor expansion along the first row; the reference oracle."""
-    n = len(rows)
-    if n == 1:
-        return Fraction(rows[0][0])
-    total = Fraction(0)
-    for j, x in enumerate(rows[0]):
-        if x == 0:
-            continue
-        sub = [r[:j] + r[j + 1:] for r in rows[1:]]
-        term = Fraction(x) * laplace_det(sub)
-        total += term if j % 2 == 0 else -term
-    return total
 
 
 def rat(rows):
@@ -435,9 +421,6 @@ def test_witness_sequence_refuses_a_non_integer_m_max(m_max):
         witness_sequence(3, 1, m_max)
 
 
-BIG = 10**5000
-
-
 @pytest.mark.parametrize(
     "call, args, message",
     [
@@ -580,3 +563,5 @@ def test_load_matrix(tmp_path):
     path = tmp_path / "m.txt"
     path.write_text("2 2\n1 2\n3 4\n")
     assert load_matrix(path) == rat([[1, 2], [3, 4]])
+
+

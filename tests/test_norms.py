@@ -1,5 +1,6 @@
 """Norm tables, the exhaustive submultiplicativity check, the envelope
-repair, and the random generator.
+repair, the random generator, the text format and the literature's norm
+axioms.
 
 Frozen envelope oracles, derived by hand:
 
@@ -9,6 +10,12 @@ Frozen envelope oracles, derived by hand:
   value(1) <= value(0)/2, and the two bounds pump each other to 0.
 * null4 with all 1/2: the two-sided zero is idempotent with value below
   1, so it pumps itself to 0; nothing constrains the other elements.
+
+The axiom expectations were worked out by hand per definition: which
+axioms a constant table satisfies, where the first row-major violation
+of multiplicativity sits on a null semigroup, and how the notation tag
+moves the zero-normalization axiom between the zero element and the
+identity.
 """
 
 import itertools
@@ -21,14 +28,15 @@ from fractions import Fraction
 import pytest
 
 from semnorms import (
+    FiniteSemigroup,
     InvalidSemigroupError,
     NormDomainError,
     NormTable,
     ParseError,
-    FiniteSemigroup,
     RatMatrix,
     builtin_semigroup,
     check_submultiplicative,
+    classify_literature_axioms,
     load_norm_table,
     parse_norm_text,
     random_submultiplicative_norms,
@@ -38,9 +46,17 @@ from semnorms import (
     zero_set,
 )
 from semnorms import norms
-from semnorms.norms import FUZZ_WORK_BUDGET
+from semnorms.norms import (
+    AMBIGUOUS,
+    FAILS,
+    FUZZ_WORK_BUDGET,
+    HOLDS,
+    NO_SUCH_ELEMENT,
+    NOT_FINITELY_CHECKABLE,
+)
 
-HALF = Fraction(1, 2)
+from references import fraction_submultiplicative
+from strategies import BIG, HALF, SUITE
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +100,7 @@ def test_length_mismatch_rejected():
 
 
 def test_constant_one_is_submultiplicative_everywhere():
-    for name in ("z2", "c4", "s3", "t2", "t3", "leftzero3", "null4"):
+    for name in SUITE:
         s = builtin_semigroup(name)
         assert check_submultiplicative(s, NormTable([1] * s.order)).ok
 
@@ -215,13 +231,6 @@ def test_generator_yields_the_envelope_of_each_raw_draw():
     # The raw draws rebuilt from the seed: one choice per element, in
     # element order.  A draw is repaired exactly when a Fraction check
     # finds it not submultiplicative.
-    def submultiplicative(s, values):
-        return all(
-            values[s.table[a][b]] <= values[a] * values[b]
-            for a in s.elements()
-            for b in s.elements()
-        )
-
     pools = ((0, HALF, 1, 2), (HALF, 1, 2), (1, 2, 3), (Fraction(99, 100), 1, Fraction(101, 100)))
     for name in ("z2", "s3", "t2", "t3", "leftzero3", "null4"):
         s = builtin_semigroup(name)
@@ -230,7 +239,8 @@ def test_generator_yields_the_envelope_of_each_raw_draw():
             rng = random.Random(11)
             raws = [[rng.choice(pool) for _ in s.elements()] for _ in range(8)]
             assert batch.norms == tuple(submultiplicative_envelope(s, raw) for raw in raws)
-            assert batch.repaired == sum(not submultiplicative(s, raw) for raw in raws)
+            repaired = sum(not fraction_submultiplicative(s.table, raw)[0] for raw in raws)
+            assert batch.repaired == repaired
 
 
 def test_repair_mode_counts_repairs():
@@ -259,7 +269,6 @@ def test_random_norms_refuse_a_non_integer_count(count):
         random_submultiplicative_norms(builtin_semigroup("z2"), count)
 
 
-BIG = 10**5000
 TOO_LONG = "a rational with more than 4300 digits in its numerator or its denominator"
 
 
@@ -461,3 +470,158 @@ def test_load_norm_table(tmp_path):
     path = tmp_path / "norm.txt"
     path.write_text("1\n1\n2\n1\n")
     assert load_norm_table(path) == NormTable([1, 1, 2, 1])
+
+
+# ---------------------------------------------------------------------------
+# the literature's norm axioms
+
+
+ALL_STATUSES = {HOLDS, FAILS, NOT_FINITELY_CHECKABLE, NO_SUCH_ELEMENT, AMBIGUOUS}
+
+
+def find(report, definition, axiom):
+    """The one entry of ``report`` for ``axiom`` of ``definition``."""
+    (entry,) = (e for e in report.entries if (e.definition, e.axiom) == (definition, axiom))
+    return entry
+
+
+def test_report_shape_is_fixed():
+    report = classify_literature_axioms(builtin_semigroup("z2"), [1, 1])
+    assert report.notation == "multiplicative"
+    assert len(report.entries) == 14
+    assert {e.status for e in report.entries} <= ALL_STATUSES
+    definitions = {e.definition for e in report.entries}
+    assert definitions == {"wegmann", "kryzius", "dikran", "pavlov", "shkarin", "valero"}
+
+
+def test_constant_one_on_z2():
+    report = classify_literature_axioms(builtin_semigroup("z2"), [1, 1])
+    assert find(report, "wegmann", "multiplicativity").status == HOLDS
+    assert find(report, "kryzius", "multiplicativity").status == HOLDS
+    assert find(report, "kryzius", "identity_norm_one").status == HOLDS
+    assert find(report, "dikran", "subadditivity").status == HOLDS
+    assert find(report, "shkarin", "subadditivity").status == HOLDS
+    assert find(report, "valero", "subadditivity").status == HOLDS
+
+    # A multiplicative-notation norm of constant 1 is not an additive one.
+    entry = find(report, "dikran", "identity_norm_zero")
+    assert entry.status == FAILS
+    assert entry.witness == (0, Fraction(1))
+
+    entry = find(report, "shkarin", "power_homogeneity")
+    assert entry.status == FAILS
+    assert entry.witness == (0, 2, Fraction(1), Fraction(2))
+    assert "up to 5" in entry.note
+
+
+def test_not_finitely_checkable_axioms():
+    report = classify_literature_axioms(builtin_semigroup("z2"), [1, 1])
+    for definition, axiom in (
+        ("wegmann", "generator_norms_exceed_one"),
+        ("wegmann", "generator_norms_diverge"),
+        ("kryzius", "sublevel_sets_finite"),
+        ("pavlov", "complex_module_norm"),
+    ):
+        assert find(report, definition, axiom).status == NOT_FINITELY_CHECKABLE
+
+
+def test_ambiguous_axiom():
+    report = classify_literature_axioms(builtin_semigroup("z2"), [1, 1])
+    entry = find(report, "valero", "zero_characterization_via_negatives")
+    assert entry.status == AMBIGUOUS
+    assert "finite reading" in entry.note
+
+
+def test_multiplicativity_witness_on_null_semigroup():
+    report = classify_literature_axioms(builtin_semigroup("null4"), [0, 1, 1, 1])
+    entry = find(report, "wegmann", "multiplicativity")
+    assert entry.status == FAILS
+    assert entry.witness == (1, 1, Fraction(0), Fraction(1))
+    # Same witness feeds the Kryzius copy of the axiom.
+    assert find(report, "kryzius", "multiplicativity").witness == entry.witness
+
+
+def test_identity_axioms_without_identity():
+    report = classify_literature_axioms(builtin_semigroup("null4"), [0, 1, 1, 1])
+    assert find(report, "kryzius", "identity_norm_one").status == NO_SUCH_ELEMENT
+    assert find(report, "dikran", "identity_norm_zero").status == NO_SUCH_ELEMENT
+
+
+def test_zero_normalization_multiplicative_reading():
+    # Element 0 of null4 is the two-sided zero, and the value vanishes
+    # exactly there: the axiom holds under multiplicative notation.
+    report = classify_literature_axioms(builtin_semigroup("null4"), [0, 1, 1, 1])
+    assert find(report, "valero", "zero_normalization").status == HOLDS
+
+    # z2 has no zero element at all.
+    report = classify_literature_axioms(builtin_semigroup("z2"), [1, 1])
+    entry = find(report, "valero", "zero_normalization")
+    assert entry.status == NO_SUCH_ELEMENT
+    assert "no two-sided zero" in entry.note
+
+
+def test_zero_normalization_additive_reading():
+    # Under additive notation the symbol 0 denotes the neutral element.
+    report = classify_literature_axioms(
+        builtin_semigroup("z2"), [0, 1], notation="additive"
+    )
+    assert report.notation == "additive"
+    assert find(report, "valero", "zero_normalization").status == HOLDS
+
+    report = classify_literature_axioms(
+        builtin_semigroup("z2"), [1, 1], notation="additive"
+    )
+    entry = find(report, "valero", "zero_normalization")
+    assert entry.status == FAILS
+    assert entry.witness == (0, Fraction(1), 0)
+
+
+def test_additive_style_norm_fits_dikran():
+    report = classify_literature_axioms(builtin_semigroup("z2"), [0, 1])
+    assert find(report, "dikran", "subadditivity").status == HOLDS
+    assert find(report, "dikran", "identity_norm_zero").status == HOLDS
+    entry = find(report, "shkarin", "power_homogeneity")
+    # 1+1 = 0 in z2, so value(1^2) = 0 while 2*value(1) = 2.
+    assert entry.status == FAILS
+    assert entry.witness == (1, 2, Fraction(0), Fraction(2))
+
+
+def test_power_homogeneity_trivial_cases():
+    report = classify_literature_axioms(builtin_semigroup("null4"), [0, 0, 0, 0])
+    assert find(report, "shkarin", "power_homogeneity").status == HOLDS
+
+    # The exact verdict: a nonzero value cannot be power homogeneous on a
+    # finite table, and here 1+1 = 0 already breaks exponent 2.
+    report = classify_literature_axioms(builtin_semigroup("z2"), [0, 1])
+    entry = find(report, "shkarin", "power_homogeneity")
+    assert entry.status == FAILS
+    assert entry.witness == (1, 2, Fraction(0), Fraction(2))
+    assert entry.note == "checked for exponents up to 5"
+
+
+def test_each_pair_scan_runs_once_per_call(monkeypatch):
+    # Multiplicativity is cited twice and subadditivity three times; each
+    # pair scan starts by splitting the values into numerators and
+    # denominators, so two splits mean two scans.
+    splits = []
+    split = norms._numerators_denominators
+    monkeypatch.setattr(
+        norms, "_numerators_denominators", lambda v: splits.append(v) or split(v)
+    )
+    classify_literature_axioms(builtin_semigroup("t3"), [1] * 27)
+    assert len(splits) == 2
+
+
+def test_parameter_validation():
+    s = builtin_semigroup("z2")
+    with pytest.raises(ValueError, match="notation"):
+        classify_literature_axioms(s, [1, 1], notation="roman")
+
+
+def test_to_jsonable_stringifies_fractions():
+    report = classify_literature_axioms(builtin_semigroup("z2"), [1, Fraction(1, 2)])
+    out = report.to_jsonable()
+    assert out["notation"] == "multiplicative"
+    flat = [e for e in out["entries"] if e["axiom"] == "multiplicativity"]
+    assert flat[0]["status"] == "fails"
+    assert all(isinstance(x, (str, int)) for x in flat[0]["witness"])

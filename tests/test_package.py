@@ -8,8 +8,6 @@ one; the rest run here.
 import ast
 import importlib
 import re
-import subprocess
-import sys
 import types
 from pathlib import Path
 
@@ -19,19 +17,13 @@ import semnorms
 from semnorms import parse_cayley_text, parse_matrix_text, parse_norm_text, validate
 from semnorms.cli import main
 
-
-def fresh(code):
-    """stdout of ``code`` run in a fresh interpreter."""
-    result = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, timeout=30
-    )
-    assert result.returncode == 0, result.stderr
-    return result.stdout.strip()
+from references import run_python
 
 
 def test_importing_the_package_loads_no_submodule():
     code = "import sys, semnorms; print(sorted(m for m in sys.modules if m.startswith('semnorms')))"
-    assert fresh(code) == "['semnorms']"
+    result = run_python("-c", code)
+    assert (result.returncode, result.stdout) == (0, "['semnorms']\n"), result.stderr
 
 
 def test_a_name_loads_only_its_own_module():
@@ -39,7 +31,10 @@ def test_a_name_loads_only_its_own_module():
         "import sys; from semnorms import minor_norm; "
         "print(sorted(m for m in sys.modules if m.startswith('semnorms')))"
     )
-    assert fresh(code) == "['semnorms', 'semnorms.errors', 'semnorms.matrices']"
+    result = run_python("-c", code)
+    assert (result.returncode, result.stdout) == (
+        0, "['semnorms', 'semnorms.errors', 'semnorms.matrices']\n"
+    ), result.stderr
 
 
 def test_no_module_shares_a_name_with_a_public_name():
@@ -156,9 +151,40 @@ def test_modules_import_their_layers_and_no_private_names():
     assert private == {("cli", "_gated_suite")}
 
 
+# Each test module is named after the library module it tests, except
+# those that cut across the layers: the kernels against their brute-force
+# references, the laws P2..P8 with the bridge from N_k, the acceptance
+# criteria, the package surface and the small world.  Code they share
+# lives in the support modules ``references`` and ``strategies``, not in
+# a test module.
+CROSS_LAYER_TESTS = {
+    "test_acceptance",
+    "test_oracles",
+    "test_package",
+    "test_propositions",
+    "test_small_world",
+}
+
+
+def test_test_modules_follow_the_library_modules_and_import_no_other():
+    tests = Path(__file__).resolve().parent
+    modules = {path.stem for path in Path(semnorms.__file__).resolve().parent.glob("*.py")}
+    names = {path.stem for path in tests.glob("test_*.py")}
+    assert names - {f"test_{module}" for module in modules} <= CROSS_LAYER_TESTS
+    imported = set()
+    for path in tests.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported |= {(path.name, alias.name) for alias in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                imported.add((path.name, node.module or ""))
+    assert {(name, module) for name, module in imported if module.startswith("test_")} == set()
+
+
 def test_submodules_stay_reachable_as_attributes():
     code = "import semnorms; print(semnorms.norms.__name__, semnorms.matrices.WORK_BUDGET > 0)"
-    assert fresh(code) == "semnorms.norms True"
+    result = run_python("-c", code)
+    assert (result.returncode, result.stdout) == (0, "semnorms.norms True\n"), result.stderr
 
 
 def test_unknown_names_raise():

@@ -40,9 +40,7 @@ from semnorms.norms import (
     _scan_zero_spreads_over_d_class,
 )
 
-from matrix_draws import identity_matrix, random_invertible_integer_matrix
-
-HALF = Fraction(1, 2)
+from strategies import HALF, identity_matrix, random_invertible_integer_matrix
 
 
 def statuses(verdicts):

@@ -1,8 +1,16 @@
-"""Cayley-table validation, the semigroup type, and the text format.
+"""Cayley-table validation, the semigroup type, Green's relations, the
+natural partial order, and the text format.
 
 Frozen oracle tables are written out by hand at the top; every derived
 fact asserted below was computed independently from those tables before
-the assertions were written.
+the assertions were written.  The t2 Green partitions come from right
+ideals row by row and left ideals column by column.  The t3 oracle is the
+classical count of self-maps of a 3-point set by image size: 3 with
+image size 1, 18 with image size 2, 6 with image size 3, and the
+D-classes of a full transformation monoid are exactly the image-size
+classes.  In the t2 natural order both constants sit below both units
+(witnessed by x = y = the constant itself), the two constants are
+incomparable, and so are the units.
 """
 
 import re
@@ -37,6 +45,10 @@ from semnorms import (
 from semnorms import semigroups
 from semnorms.semigroups import LIGHT_TEST_BUDGET, LISTING_BUDGET, inverse_sets
 
+from references import image_size_classes, natural_leq
+from strategies import NON_ASSOCIATIVE_TABLE, SUITE
+
+
 # Self-maps of {0, 1} in lexicographic order: 0 = const 0, 1 = identity,
 # 2 = swap, 3 = const 1, composed left to right.
 T2_TABLE = (
@@ -48,8 +60,18 @@ T2_TABLE = (
 
 Z2_TABLE = ((0, 1), (1, 0))
 
-# (1*0)*1 = 0*1 = 1 but 1*(0*1) = 1*1 = 0, and similarly for (1,1,1).
-NON_ASSOCIATIVE_TABLE = [[0, 1], [0, 0]]
+
+# Green's relations and the natural order of t2, by hand.
+T2_R = ({0, 3}, {1, 2})
+T2_L = ({0}, {1, 2}, {3})
+T2_H = ({0}, {1, 2}, {3})
+T2_D = ({0, 3}, {1, 2})
+
+T2_PAIRS = {
+    (0, 0), (1, 1), (2, 2), (3, 3),
+    (0, 1), (0, 2),
+    (3, 1), (3, 2),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -389,6 +411,185 @@ def test_unknown_builtin_name():
 
 
 # ---------------------------------------------------------------------------
+# Green's relations
+
+
+def test_t2_all_four_partitions():
+    g = green_structure(builtin_semigroup("t2"))
+    assert g.r_classes == tuple(frozenset(c) for c in T2_R)
+    assert g.l_classes == tuple(frozenset(c) for c in T2_L)
+    assert g.h_classes == tuple(frozenset(c) for c in T2_H)
+    assert g.d_classes == tuple(frozenset(c) for c in T2_D)
+
+
+def test_t2_d_classes_match_image_size_oracle():
+    oracle = image_size_classes(2)
+    computed = set(green_structure(builtin_semigroup("t2")).d_classes)
+    assert computed == set(oracle.values())
+    assert sorted(len(c) for c in computed) == [2, 2]
+
+
+def test_t3_d_classes_match_image_size_oracle():
+    oracle = image_size_classes(3)
+    computed = set(green_structure(builtin_semigroup("t3")).d_classes)
+    assert computed == set(oracle.values())
+    assert sorted(len(c) for c in computed) == [3, 6, 18]
+
+
+def test_groups_have_one_class_of_everything():
+    for name in ("z2", "c4", "s3"):
+        s = builtin_semigroup(name)
+        g = green_structure(s)
+        everything = (frozenset(s.elements()),)
+        assert g.r_classes == everything
+        assert g.l_classes == everything
+        assert g.d_classes == everything
+        assert g.h_classes == everything
+
+
+def test_left_zero_semigroup():
+    # a*b = a: right ideals are singletons, left ideals are everything.
+    g = green_structure(builtin_semigroup("leftzero3"))
+    assert g.r_classes == ({0}, {1}, {2})
+    assert g.l_classes == ({0, 1, 2},)
+    assert g.h_classes == ({0}, {1}, {2})
+    assert g.d_classes == ({0, 1, 2},)
+
+
+def test_null_semigroup_degenerates_to_singletons():
+    g = green_structure(builtin_semigroup("null4"))
+    singletons = ({0}, {1}, {2}, {3})
+    assert g.r_classes == singletons
+    assert g.l_classes == singletons
+    assert g.h_classes == singletons
+    assert g.d_classes == singletons
+
+
+def test_every_partition_is_an_equivalence():
+    for name in SUITE:
+        s = builtin_semigroup(name)
+        g = green_structure(s)
+        for classes in (g.r_classes, g.l_classes, g.d_classes, g.h_classes):
+            seen = sorted(a for part in classes for a in part)
+            assert seen == list(s.elements())  # disjoint cover, nothing repeated
+
+
+def test_h_refines_r_and_l_and_d_coarsens_both():
+    for name in SUITE:
+        g = green_structure(builtin_semigroup(name))
+        for h in g.h_classes:
+            assert any(h <= r for r in g.r_classes)
+            assert any(h <= l for l in g.l_classes)
+        for r in g.r_classes:
+            assert any(r <= d for d in g.d_classes)
+        for l in g.l_classes:
+            assert any(l <= d for d in g.d_classes)
+
+
+def test_classes_ordered_by_minimum():
+    for name in SUITE:
+        g = green_structure(builtin_semigroup(name))
+        for classes in (g.r_classes, g.l_classes, g.d_classes, g.h_classes):
+            minima = [min(part) for part in classes]
+            assert minima == sorted(minima)
+
+
+def test_structure_is_cached_per_semigroup():
+    a = green_structure(builtin_semigroup("t2"))
+    b = green_structure(builtin_semigroup("t2"))
+    assert a is b
+
+
+# ---------------------------------------------------------------------------
+# the natural partial order
+
+
+def test_t2_frozen_relation():
+    assert natural_order(builtin_semigroup("t2")).pairs == frozenset(T2_PAIRS)
+
+
+def test_null4_has_bottom_element():
+    # Element 0 is the two-sided zero: 0 = 0*b = b*0 and 0*0 = 0.
+    pairs = natural_order(builtin_semigroup("null4")).pairs
+    diagonal = {(a, a) for a in range(4)}
+    assert pairs == diagonal | {(0, 1), (0, 2), (0, 3)}
+
+
+def test_left_zero_order_is_equality():
+    pairs = natural_order(builtin_semigroup("leftzero3")).pairs
+    assert pairs == {(a, a) for a in range(3)}
+
+
+def test_groups_collapse_to_equality():
+    for name in ("z2", "c4", "s3"):
+        s = builtin_semigroup(name)
+        pairs = natural_order(s).pairs
+        assert pairs == {(a, a) for a in s.elements()}
+
+
+def test_reflexive():
+    for name in SUITE:
+        s = builtin_semigroup(name)
+        relation = natural_order(s)
+        for a in s.elements():
+            assert (a, a) in relation.pairs
+
+
+def test_antisymmetric():
+    for name in SUITE:
+        pairs = natural_order(builtin_semigroup(name)).pairs
+        for a, b in pairs:
+            if a != b:
+                assert (b, a) not in pairs
+
+
+def test_transitive():
+    for name in SUITE:
+        pairs = natural_order(builtin_semigroup(name)).pairs
+        below = {}
+        for a, b in pairs:
+            below.setdefault(b, set()).add(a)
+        for a, b in pairs:
+            for c in below.get(a, ()):
+                assert (c, b) in pairs
+
+
+def test_leq_agrees_with_bulk_relation():
+    for name in ("t2", "null4", "leftzero3"):
+        s = builtin_semigroup(name)
+        relation = natural_order(s)
+        for a in s.elements():
+            for b in s.elements():
+                assert natural_leq(s, a, b) == ((a, b) in relation.pairs)
+
+
+def test_idempotent_order_characterization():
+    # On idempotents the natural order has a product-only description:
+    # e <= f iff e = e*f = f*e.  An independent cross-check of both sides.
+    for name in ("t2", "t3"):
+        s = builtin_semigroup(name)
+        relation = natural_order(s)
+        for e in sorted(idempotents(s)):
+            for f in sorted(idempotents(s)):
+                expected = s.table[e][f] == e and s.table[f][e] == e
+                assert ((e, f) in relation.pairs) == expected
+
+
+def test_bad_indices_rejected():
+    s = builtin_semigroup("z2")
+    with pytest.raises(ValueError, match="out of range"):
+        natural_leq(s, 0, 2)
+    with pytest.raises(ValueError, match="out of range"):
+        natural_leq(s, -1, 0)
+
+
+def test_relation_is_cached():
+    assert natural_order(builtin_semigroup("t3")) is natural_order(
+        builtin_semigroup("t3")
+    )
+
+
+# ---------------------------------------------------------------------------
 # text format
 
 
@@ -495,3 +696,5 @@ def test_load_rejects_invalid_table(tmp_path):
     path.write_text("2\n0 1\n0 0\n")
     with pytest.raises(InvalidSemigroupError):
         load_cayley_table(path)
+
+

@@ -13,7 +13,7 @@ row) is one canonical representative per class.  Orders 1 to 4 give 1, 8,
 What it measures: on the 30 classes of order 1 to 3, each of the 4^n
 norms over {0, 1/2, 1, 2} (1620 norms) goes through the gate and its
 witness, P2-P8, the 14 axiom entries in both notations and the envelope,
-against the references in ``test_oracles``.  On the 188 classes of order
+against the references in ``references``.  On the 188 classes of order
 4, Green's relations and the natural order are checked against their
 definitions.  Its tests take 2 to 2.5 s on one core of a 2-core Xeon,
 1.2 to 1.5 s of it the enumeration.
@@ -35,7 +35,7 @@ from semnorms import (
     run_suite,
     submultiplicative_envelope,
 )
-from test_oracles import (
+from references import (
     brute_natural_pairs,
     fraction_submultiplicative,
     principal_ideal_green,
