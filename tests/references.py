@@ -126,12 +126,17 @@ def brute_natural_pairs(table):
     )
 
 
+def transformation_maps(n):
+    """The self-maps of n points in lexicographic order: the i-th is
+    element i of t_n."""
+    return sorted(itertools.product(range(n), repeat=n))
+
+
 def image_size_classes(n):
     """Image size -> the self-maps of n points of that image size, each
     by its index in lexicographic order, which is its element of t_n."""
-    maps = sorted(itertools.product(range(n), repeat=n))
     classes = {}
-    for index, f in enumerate(maps):
+    for index, f in enumerate(transformation_maps(n)):
         classes.setdefault(len(set(f)), []).append(index)
     return {size: frozenset(members) for size, members in classes.items()}
 

@@ -10,12 +10,20 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from functools import cache
 
 from hypothesis import strategies as st
 
-from semnorms import BUILTIN_SEMIGROUPS, RatMatrix, builtin_semigroup, det, validate
+from semnorms import (
+    BUILTIN_SEMIGROUPS,
+    RatMatrix,
+    builtin_semigroup,
+    det,
+    full_transformation_monoid,
+    validate,
+)
 
-from references import fraction_product
+from references import fraction_product, transformation_maps
 
 # Every builtin semigroup by name.
 SUITE = ("z2", "c4", "s3", "t2", "t3", "leftzero3", "null4")
@@ -181,6 +189,36 @@ def all_magmas(n):
 
 # Every associative table of order at most 3: 1 + 8 + 113 of them.
 SMALL_SEMIGROUPS = [t for n in (1, 2, 3) for t in all_magmas(n) if validate(t).ok]
+
+
+@cache
+def semigroup_of_maps(name):
+    """The builtin ``name``, or t4, with the map on n points behind each
+    element, in element order: z2 and c4 as the powers of the cyclic
+    shift, s3 and t2 to t4 as the lexicographic lists of their maps."""
+    s = full_transformation_monoid(4) if name == "t4" else builtin_semigroup(name)
+    if name in ("z2", "c4"):
+        n = s.order
+        maps = [tuple((x + i) % n for x in range(n)) for i in range(n)]
+    elif name == "s3":
+        maps = sorted(itertools.permutations(range(3)))
+    else:
+        maps = transformation_maps(int(name[1:]))
+    return s, maps
+
+
+def map_matrix(f):
+    """The 0/1 matrix M_f of the map f, with (M_f)_{x,f(x)} = 1."""
+    n = len(f)
+    return RatMatrix(n, n, [int(f[x] == y) for x in range(n) for y in range(n)])
+
+
+# The orders k at which the bridge reads N_k on each semigroup of maps:
+# every k for the builtins; t4 at k = 1 and 2, where its values are many.
+BRIDGE_ORDERS = {
+    "z2": (1, 2), "c4": (1, 2, 3, 4), "s3": (1, 2, 3),
+    "t2": (1, 2), "t3": (1, 2, 3), "t4": (1, 2),
+}
 
 
 # ---------------------------------------------------------------------------

@@ -112,15 +112,6 @@ def test_validate_parse_error(capsys, tmp_path):
     assert "line 2, column 3" in err
 
 
-def test_validate_text_format(capsys, tmp_path):
-    path = tmp_path / "bad.txt"
-    path.write_text("2\n0 1\n0 0\n")
-    code, out, _ = run_cli(capsys, "validate", str(path), "--format", "text")
-    assert code == 1
-    assert "INVALID" in out
-    assert "associativity fails at (1, 0, 1)" in out
-
-
 def random_table_file(tmp_path, n):
     rng = random.Random(1)
     path = tmp_path / f"random{n}.txt"
@@ -192,13 +183,6 @@ def test_invalid_table_in_text_format_is_text(capsys, tmp_path, command):
     )
 
 
-def test_analyze_text_format(capsys):
-    code, out, _ = run_cli(capsys, "analyze", "leftzero3", "--format", "text")
-    assert code == 0
-    assert "order 3" in out
-    assert "regular" in out
-
-
 def test_unknown_input_name(capsys):
     for command in ("validate", "analyze"):
         code, out, err = run_cli(capsys, command, "zz")
@@ -247,15 +231,6 @@ def test_norm_check_additive_notation(capsys, tmp_path):
     )
     # additive reading: the identity must get value 0, here it has 1
     assert entry["status"] == "fails"
-
-
-def test_norm_check_text_format(capsys, tmp_path):
-    norm = tmp_path / "one.txt"
-    norm.write_text("1\n1\n")
-    code, out, _ = run_cli(capsys, "norm-check", "z2", str(norm), "--format", "text")
-    assert code == 0
-    assert "PASS" in out
-    assert "submultiplicative: yes" in out
 
 
 def test_norm_check_scans_submultiplicativity_once(capsys, tmp_path, monkeypatch):
@@ -378,14 +353,6 @@ def test_fuzz_huge_pool_value_exits_2_at_once(capsys):
     assert time.perf_counter() - start < 5
     assert (code, out) == (2, "")
     assert "cannot parse pool" in err and "at most 4300 digits" in err
-
-
-def test_fuzz_text_format(capsys):
-    code, out, _ = run_cli(
-        capsys, "fuzz", "z2", "--count", "3", "--seed", "1", "--format", "text"
-    )
-    assert code == 0
-    assert "result: PASS" in out
 
 
 def test_fuzz_with_near_one_cycles_finishes():
@@ -597,16 +564,6 @@ def test_minor_norm_k_out_of_range(capsys, tmp_path):
     assert "0 < k <= min(rows, cols), got k=5 for a 2x2 matrix" in err
 
 
-def test_minor_norm_text_format(capsys, tmp_path):
-    path = tmp_path / "zero.txt"
-    path.write_text("2 2\n0 0\n0 0\n")
-    code, out, _ = run_cli(
-        capsys, "minor-norm", str(path), "--k", "1", "--format", "text"
-    )
-    assert code == 0
-    assert "zero" in out
-
-
 def test_minor_norm_over_the_work_budget_exits_2_at_once(capsys, tmp_path):
     path = tmp_path / "big.txt"
     path.write_text("20 20\n" + "1 " * 400 + "\n")
@@ -728,12 +685,46 @@ def test_witness_values_too_long_to_print_exit_2_at_once(capsys):
     assert "Traceback" not in err
 
 
-def test_witness_text_format(capsys):
-    code, out, _ = run_cli(
-        capsys, "witness", "--n", "2", "--k", "1", "--m-max", "2", "--format", "text"
-    )
-    assert code == 0
-    assert "NOT closed" in out
+# ---------------------------------------------------------------------------
+# --format text: per command, the input files it reads, its command line,
+# its exit code and what its report says
+
+
+@pytest.mark.parametrize(
+    "files, argv, exit_code, expected",
+    [
+        (
+            {"bad.txt": "2\n0 1\n0 0\n"},
+            ["validate", "bad.txt"],
+            1,
+            ["INVALID", "associativity fails at (1, 0, 1)"],
+        ),
+        ({}, ["analyze", "leftzero3"], 0, ["order 3", "regular"]),
+        (
+            {"one.txt": "1\n1\n"},
+            ["norm-check", "z2", "one.txt"],
+            0,
+            ["PASS", "submultiplicative: yes"],
+        ),
+        ({}, ["fuzz", "z2", "--count", "3", "--seed", "1"], 0, ["result: PASS"]),
+        (
+            {"zero.txt": "2 2\n0 0\n0 0\n"},
+            ["minor-norm", "zero.txt", "--k", "1"],
+            0,
+            ["zero"],
+        ),
+        ({}, ["witness", "--n", "2", "--k", "1", "--m-max", "2"], 0, ["NOT closed"]),
+    ],
+    ids=["validate", "analyze", "norm-check", "fuzz", "minor-norm", "witness"],
+)
+def test_text_format(capsys, tmp_path, monkeypatch, files, argv, exit_code, expected):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run_cli(capsys, *argv, "--format", "text")
+    assert code == exit_code
+    for part in expected:
+        assert part in out
 
 
 # ---------------------------------------------------------------------------

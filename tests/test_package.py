@@ -153,15 +153,13 @@ def test_modules_import_their_layers_and_no_private_names():
 
 # Each test module is named after the library module it tests, except
 # those that cut across the layers: the kernels against their brute-force
-# references, the laws P2..P8 with the bridge from N_k, the acceptance
-# criteria, the package surface and the small world.  Code they share
-# lives in the support modules ``references`` and ``strategies``, not in
-# a test module.
+# references, the acceptance criteria, the package surface and the small
+# world.  Code they share lives in the support modules ``references`` and
+# ``strategies``, not in a test module.
 CROSS_LAYER_TESTS = {
     "test_acceptance",
     "test_oracles",
     "test_package",
-    "test_propositions",
     "test_small_world",
 }
 
@@ -170,7 +168,7 @@ def test_test_modules_follow_the_library_modules_and_import_no_other():
     tests = Path(__file__).resolve().parent
     modules = {path.stem for path in Path(semnorms.__file__).resolve().parent.glob("*.py")}
     names = {path.stem for path in tests.glob("test_*.py")}
-    assert names - {f"test_{module}" for module in modules} <= CROSS_LAYER_TESTS
+    assert names - {f"test_{module}" for module in modules} == CROSS_LAYER_TESTS
     imported = set()
     for path in tests.rglob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
