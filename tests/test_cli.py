@@ -291,25 +291,6 @@ def test_fuzz_derives_only_the_structure_its_laws_need(capsys):
     assert kept.isdisjoint(f.__name__ for f in (green_structure, inverse_sets, natural_order))
 
 
-def test_norm_check_huge_value_is_a_parse_error(capsys, tmp_path):
-    norm = tmp_path / "huge.txt"
-    norm.write_text("1\n1e5000\n")
-    code, out, err = run_cli(capsys, "norm-check", "z2", str(norm))
-    assert (code, out) == (2, "")
-    assert "line 2, column 1: a rational may spell out at most 4300 digits" in err
-
-
-def test_norm_check_product_too_long_to_print_exits_2(capsys, tmp_path):
-    # Both values fit the literal bound; their product, a multiplicativity
-    # witness, does not.
-    norm = tmp_path / "huge.txt"
-    norm.write_text("1e4000\n1e4000\n")
-    code, out, err = run_cli(capsys, "norm-check", "z2", str(norm))
-    assert (code, out) == (2, "")
-    assert "wegmann.multiplicativity has more than 4300 digits" in err
-    assert "Traceback" not in err
-
-
 def test_norm_check_wrong_length(capsys, tmp_path):
     norm = tmp_path / "short.txt"
     norm.write_text("1\n")
@@ -347,14 +328,6 @@ def test_fuzz_bad_pool(capsys):
     assert "cannot parse pool" in err
 
 
-def test_fuzz_huge_pool_value_exits_2_at_once(capsys):
-    start = time.perf_counter()
-    code, out, err = run_cli(capsys, "fuzz", "z2", "--pool", "1, 1e2000000")
-    assert time.perf_counter() - start < 5
-    assert (code, out) == (2, "")
-    assert "cannot parse pool" in err and "at most 4300 digits" in err
-
-
 def test_fuzz_with_near_one_cycles_finishes():
     # Every draw from this pool has cycles whose product is just below 1;
     # the envelope must zero them rather than pump them.  A fresh process
@@ -366,14 +339,6 @@ def test_fuzz_with_near_one_cycles_finishes():
     assert result.returncode == 0
     assert "Traceback" not in result.stderr
     assert json.loads(result.stdout)["generated"] == 30
-
-
-def test_fuzz_over_the_work_budget_exits_2_at_once(capsys):
-    start = time.perf_counter()
-    code, out, err = run_cli(capsys, "fuzz", "t3", "--count", "1000000000")
-    assert time.perf_counter() - start < 1
-    assert (code, out) == (2, "")
-    assert "over the budget of 6250000" in err and "Traceback" not in err
 
 
 # Sixteen values in [3/2, 3): a draw from them keeps 16 to 20 distinct
@@ -564,56 +529,6 @@ def test_minor_norm_k_out_of_range(capsys, tmp_path):
     assert "0 < k <= min(rows, cols), got k=5 for a 2x2 matrix" in err
 
 
-def test_minor_norm_over_the_work_budget_exits_2_at_once(capsys, tmp_path):
-    path = tmp_path / "big.txt"
-    path.write_text("20 20\n" + "1 " * 400 + "\n")
-    start = time.perf_counter()
-    code, out, err = run_cli(capsys, "minor-norm", str(path), "--k", "10")
-    assert time.perf_counter() - start < 5
-    assert (code, out) == (2, "")
-    assert "over the budget" in err and "Traceback" not in err
-    assert int(re.search(r"about (\d+) steps", err).group(1)) >= math.comb(20, 10) ** 2
-
-
-def test_minor_norm_rank_over_the_work_budget_exits_2_at_once(capsys, tmp_path):
-    # The order-1 compound of a 120 x 120 matrix is cheap, but the rank
-    # printed beside it is a cubic Fraction elimination.
-    path = tmp_path / "big.txt"
-    path.write_text("120 120\n" + "1 " * 120**2 + "\n")
-    start = time.perf_counter()
-    code, out, err = run_cli(capsys, "minor-norm", str(path), "--k", "1")
-    assert time.perf_counter() - start < 5
-    assert (code, out) == (2, "")
-    assert "rank of a 120x120 matrix" in err and "Traceback" not in err
-    assert int(re.search(r"about (\d+) steps", err).group(1)) >= 120**3
-
-
-def test_minor_norm_rank_of_many_digits_exits_2_at_once(capsys, tmp_path):
-    # Order 40 passes the shape bound of the rank, but entries p/q with
-    # |p|, q up to 10**6 scale rows to about 600 bits, and the Bareiss
-    # elimination took about 5 s; the estimate weighs those digits.
-    rng = random.Random(40)
-    entries = [f"{rng.randint(-10**6, 10**6)}/{rng.randint(1, 10**6)}" for _ in range(40 * 40)]
-    path = tmp_path / "digits.txt"
-    path.write_text("40 40\n" + " ".join(entries) + "\n")
-    start = time.perf_counter()
-    code, out, err = run_cli(capsys, "minor-norm", str(path), "--k", "1")
-    assert time.perf_counter() - start < 1
-    assert (code, out) == (2, "")
-    assert "rank of a 40x40 matrix" in err and "Traceback" not in err
-    assert int(re.search(r"about (\d+) steps", err).group(1)) > 7 * 40**3
-
-
-def test_minor_norm_too_long_to_print_exits_2(capsys, tmp_path):
-    # Each entry fits the literal bound; the order-2 norm, 10**8000, does not.
-    path = tmp_path / "huge.txt"
-    path.write_text("2 2\n1e4000 0\n0 1e4000\n")
-    code, out, err = run_cli(capsys, "minor-norm", str(path), "--k", "2")
-    assert (code, out) == (2, "")
-    assert "the order-2 norm has more than 4300 digits" in err
-    assert "Traceback" not in err
-
-
 # ---------------------------------------------------------------------------
 # witness
 
@@ -656,16 +571,6 @@ def test_an_estimate_too_long_for_str_is_refused_with_a_bound(capsys, argv, tail
     assert err.startswith("error: ") and err.endswith(f" {tail}\n")
 
 
-def test_witness_over_the_work_budget_exits_2_at_once(capsys):
-    start = time.perf_counter()
-    code, out, err = run_cli(capsys, "witness", "--n", "80000", "--k", "40000")
-    assert time.perf_counter() - start < 5
-    assert (code, out) == (2, "")
-    assert "over the budget" in err and "Traceback" not in err
-    # Ten points and the limit, each touching two diagonals of 80000 entries.
-    assert int(re.search(r"about (\d+) steps", err).group(1)) >= 11 * 2 * 80000
-
-
 @pytest.mark.parametrize("n, k", [(11, 5), (12, 6), (16, 4)])
 def test_witness_reaches_its_conclusion_at_order_11_and_up(capsys, n, k):
     code, out = run_json(capsys, "witness", "--n", str(n), "--k", str(k), "--m-max", "1")
@@ -674,15 +579,120 @@ def test_witness_reaches_its_conclusion_at_order_11_and_up(capsys, n, k):
     assert out["points"][0]["norm_value"] == str(math.comb(n, k))
 
 
-def test_witness_values_too_long_to_print_exit_2_at_once(capsys):
-    # C(30000, 15000) has 9029 digits, which a report does not print on any
-    # Python version.
+# ---------------------------------------------------------------------------
+# refusals: per command line, the input files it reads, the seconds it may
+# take, what its message says and the least step count the message names
+
+
+def many_digits_matrix_text():
+    """40 x 40 seeded entries p/q with |p|, q up to 10**6."""
+    rng = random.Random(40)
+    entries = [f"{rng.randint(-10**6, 10**6)}/{rng.randint(1, 10**6)}" for _ in range(40 * 40)]
+    return "40 40\n" + " ".join(entries) + "\n"
+
+
+@pytest.mark.parametrize(
+    "files, argv, seconds, expected, least_steps",
+    [
+        (
+            {"huge.txt": "1\n1e5000\n"},
+            ["norm-check", "z2", "huge.txt"],
+            None,
+            ["line 2, column 1: a rational may spell out at most 4300 digits"],
+            None,
+        ),
+        # Both values fit the literal bound; their product, a
+        # multiplicativity witness, does not.
+        (
+            {"huge.txt": "1e4000\n1e4000\n"},
+            ["norm-check", "z2", "huge.txt"],
+            None,
+            ["wegmann.multiplicativity has more than 4300 digits"],
+            None,
+        ),
+        (
+            {},
+            ["fuzz", "z2", "--pool", "1, 1e2000000"],
+            5,
+            ["cannot parse pool", "at most 4300 digits"],
+            None,
+        ),
+        ({}, ["fuzz", "t3", "--count", "1000000000"], 1, ["over the budget of 6250000"], None),
+        (
+            {"big.txt": "20 20\n" + "1 " * 400 + "\n"},
+            ["minor-norm", "big.txt", "--k", "10"],
+            5,
+            ["over the budget"],
+            math.comb(20, 10) ** 2,
+        ),
+        # The order-1 compound of a 120 x 120 matrix is cheap, but the rank
+        # printed beside it is a cubic Fraction elimination.
+        (
+            {"big.txt": "120 120\n" + "1 " * 120**2 + "\n"},
+            ["minor-norm", "big.txt", "--k", "1"],
+            5,
+            ["rank of a 120x120 matrix"],
+            120**3,
+        ),
+        # Order 40 passes the shape bound of the rank, but entries p/q with
+        # |p|, q up to 10**6 scale rows to about 600 bits, and the Bareiss
+        # elimination took about 5 s; the estimate weighs those digits.
+        (
+            {"digits.txt": many_digits_matrix_text()},
+            ["minor-norm", "digits.txt", "--k", "1"],
+            1,
+            ["rank of a 40x40 matrix"],
+            7 * 40**3 + 1,
+        ),
+        # Each entry fits the literal bound; the order-2 norm, 10**8000, does not.
+        (
+            {"huge.txt": "2 2\n1e4000 0\n0 1e4000\n"},
+            ["minor-norm", "huge.txt", "--k", "2"],
+            None,
+            ["the order-2 norm has more than 4300 digits"],
+            None,
+        ),
+        # Ten points and the limit, each touching two diagonals of 80000 entries.
+        ({}, ["witness", "--n", "80000", "--k", "40000"], 5, ["over the budget"], 11 * 2 * 80000),
+        # C(30000, 15000) has 9029 digits, which a report does not print on
+        # any Python version.
+        (
+            {},
+            ["witness", "--n", "30000", "--k", "15000", "--m-max", "1"],
+            5,
+            ["has more than 4300 digits", "more than a report prints"],
+            None,
+        ),
+    ],
+    ids=[
+        "norm-check-huge-value",
+        "norm-check-product-too-long",
+        "fuzz-huge-pool-value",
+        "fuzz-over-the-budget",
+        "minor-norm-over-the-budget",
+        "minor-norm-rank-over-the-budget",
+        "minor-norm-rank-of-many-digits",
+        "minor-norm-too-long",
+        "witness-over-the-budget",
+        "witness-values-too-long",
+    ],
+)
+def test_a_refusal_exits_2_with_its_message(
+    capsys, tmp_path, monkeypatch, files, argv, seconds, expected, least_steps
+):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
     start = time.perf_counter()
-    code, out, err = run_cli(capsys, "witness", "--n", "30000", "--k", "15000", "--m-max", "1")
-    assert time.perf_counter() - start < 5
+    code, out, err = run_cli(capsys, *argv)
+    if seconds is not None:
+        assert time.perf_counter() - start < seconds
     assert (code, out) == (2, "")
-    assert "has more than 4300 digits" in err and "more than a report prints" in err
     assert "Traceback" not in err
+    for part in expected:
+        assert part in err
+    if least_steps is not None:
+        assert int(re.search(r"about (\d+) steps", err).group(1)) >= least_steps
 
 
 # ---------------------------------------------------------------------------

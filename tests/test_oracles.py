@@ -1,21 +1,19 @@
-"""Independent oracles for the fast kernels.
+"""Independent oracles for the fast kernels of norms and matrices.
 
-Each kernel under test takes a shortcut: Light's associativity test in
-``validate``, integer cross-multiplication and value classes in
-``check_submultiplicative``, the bounded integer rounds of
-``submultiplicative_envelope``, by pairs or by value classes, the lower
-sets of ``natural_order`` read off the idempotents, the Cayley-graph
-components of ``green_structure``, the single gate of ``run_suite``, the
-stored inverse sets of P5, the least violating pair of P8 and the laws
-P3-P8 decided on all-zero or zero-free norms without derived structure,
-the integer pair scans of ``classify_literature_axioms``, the integer
-Laplace program of ``compound``, the integer products of ``mat_mul``, the
-Bareiss elimination of ``rank`` and ``det`` and its Schur complement, the
-integer pseudoinverse and its Penrose check, and the split-based
-tokenizer and the table-entry lookup of the text parsers.  The
-references in ``references`` are written from the definitions alone, or
-are sympy's, and share no code with those kernels; hypothesis draws the
-inputs, from ``strategies``.
+Each kernel under test takes a shortcut: integer cross-multiplication and
+value classes in ``check_submultiplicative``, the bounded integer rounds
+of ``submultiplicative_envelope``, by pairs or by value classes, the
+single gate of ``run_suite``, the stored inverse sets of P5, the least
+violating pair of P8 and the laws P3-P8 decided on all-zero or zero-free
+norms without derived structure, the integer pair scans of
+``classify_literature_axioms``, the integer Laplace program of
+``compound``, the integer products of ``mat_mul``, the Bareiss
+elimination of ``rank`` and ``det`` and its Schur complement, the integer
+pseudoinverse and its Penrose check, and the split-based tokenizers of
+the matrix and norm parsers.  The references in ``references`` are
+written from the definitions alone, or are sympy's, and share no code
+with those kernels; hypothesis draws the inputs, from ``strategies``.
+The semigroup kernels' oracles are in ``test_semigroups``.
 """
 
 import itertools
@@ -42,20 +40,14 @@ from semnorms import (
     det,
     full_transformation_monoid,
     generalized_inverse,
-    green_structure,
-    left_zero_semigroup,
     mat_mul,
     minor_norm,
-    natural_order,
-    null_semigroup,
-    parse_cayley_text,
     parse_matrix_text,
     parse_norm_text,
     random_submultiplicative_norms,
     rank,
     run_suite,
     submultiplicative_envelope,
-    validate,
 )
 from semnorms import matrices, norms
 from semnorms.matrices import _boundary_point, _diagonal_norm, _eliminate
@@ -72,9 +64,7 @@ from semnorms.norms import (
 
 from references import (
     bounded_infimum,
-    brute_natural_pairs,
     brute_power,
-    brute_triples,
     fraction_inverse,
     fraction_product,
     fraction_submultiplicative,
@@ -82,11 +72,8 @@ from references import (
     inversions,
     laplace_det,
     minor,
-    natural_leq,
     outcome,
-    principal_ideal_green,
     product,
-    ref_cayley,
     ref_matrix,
     ref_norm,
     reference_axioms,
@@ -94,32 +81,25 @@ from references import (
     reference_inverse_lower_bound,
     reference_order_zero_downward,
     reference_suite,
-    reference_validate,
     transformation_maps,
 )
 from strategies import (
     BUILTIN_TABLES,
-    NON_ASSOCIATIVE_TABLE,
     PRIMES,
     SMALL_SEMIGROUPS,
     SWAPPING,
     WITNESS_POINTS,
-    Index,
-    all_magmas,
     arbitrary_texts,
-    cayley_texts,
     chained_matrices,
     diagonal_matrix,
     identity_matrix,
     inner_inverse_draws,
     low_rank_products,
-    magmas,
     matrix_entries,
     matrix_texts,
     nonsingular_squares,
     norm_texts,
     norms_by_kind,
-    odd_tables,
     random_invertible_integer_matrix,
     random_rational_matrix,
     rat_matrices,
@@ -134,54 +114,6 @@ from strategies import (
     witness_inner_inverses,
     zero_matrix,
 )
-
-
-# ---------------------------------------------------------------------------
-# validate: Light's test against the full triple scan.
-
-
-@settings(max_examples=300, deadline=None)
-@given(magmas())
-def test_validate_lists_exactly_the_brute_force_triples(table):
-    assert validate(table).non_associative == brute_triples(table)
-
-
-@settings(max_examples=60, deadline=None)
-@given(transformation_tables())
-def test_validate_accepts_transformation_semigroups(table):
-    assert brute_triples(table) == ()
-    assert validate(table).ok
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.one_of(odd_tables(), magmas()))
-@example([[0]])
-@example([[1]])
-@example([[-1]])
-@example([[True]])
-@example([[False]])
-@example([[Index(0)]])
-@example([[]])
-@example([[0, 1], [1, True]])
-@example([[Index(0), Index(1)], [Index(1), Index(0)]])
-@example([[0, 1], [1, 0, 1]])
-@example([[0], [0, 0]])
-def test_validate_equals_the_definitions_on_odd_entries(table):
-    report = validate(table)
-    assert (report.structural, report.out_of_range, report.non_associative) == (
-        reference_validate(table)
-    )
-
-
-def test_validate_on_the_known_non_associative_table():
-    assert validate(NON_ASSOCIATIVE_TABLE).non_associative == brute_triples(
-        NON_ASSOCIATIVE_TABLE
-    )
-
-
-def test_validate_on_every_magma_of_order_two():
-    for table in all_magmas(2):
-        assert validate(table).non_associative == brute_triples(table)
 
 
 # ---------------------------------------------------------------------------
@@ -366,56 +298,6 @@ def test_envelope_and_rounds_equal_the_literal_rounds(name):
             values = [rng.choice(pool) for _ in s.elements()]
             envelope, rounds = _envelope_rounds(s, values)
             assert (list(envelope), rounds) == reference_envelope_rounds(s.table, values)
-
-
-# ---------------------------------------------------------------------------
-# green_structure: Cayley-graph components against principal ideals.
-
-
-@settings(max_examples=80, deadline=None)
-@given(transformation_tables())
-def test_green_structure_equals_principal_ideals_on_transformation_semigroups(table):
-    assert green_structure(FiniteSemigroup(table)) == principal_ideal_green(table)
-
-
-def test_green_structure_equals_principal_ideals_on_fixed_tables():
-    tables = BUILTIN_TABLES + SMALL_SEMIGROUPS + [
-        [list(row) for row in make(n).table]
-        for make in (left_zero_semigroup, null_semigroup)
-        for n in (1, 2, 5, 17)
-    ] + [list(map(list, full_transformation_monoid(4).table))]
-    for table in tables:
-        assert green_structure(FiniteSemigroup(table)) == principal_ideal_green(table), table
-
-
-# ---------------------------------------------------------------------------
-# natural_order: quadratic lower sets against brute force.
-
-
-def test_natural_order_equals_natural_leq_on_builtins():
-    for name in BUILTIN_SEMIGROUPS:
-        s = builtin_semigroup(name)
-        expected = {
-            (a, b) for a in s.elements() for b in s.elements() if natural_leq(s, a, b)
-        }
-        assert natural_order(s).pairs == expected, name
-
-
-def test_natural_order_on_t4_by_idempotents_equals_natural_leq():
-    # 2680 pairs, as the maps on 4 points give; the lower sets of a
-    # sample of elements against the brute force over all witnesses.
-    s = full_transformation_monoid(4)
-    pairs = natural_order(s).pairs
-    assert len(pairs) == 2680
-    for b in random.Random(4).sample(range(s.order), 12):
-        below = {a for a, c in pairs if c == b}
-        assert below == {a for a in s.elements() if natural_leq(s, a, b)}, b
-
-
-@settings(max_examples=60, deadline=None)
-@given(transformation_tables())
-def test_natural_order_equals_definition_on_transformation_semigroups(table):
-    assert natural_order(FiniteSemigroup(table)).pairs == brute_natural_pairs(table)
 
 
 # ---------------------------------------------------------------------------
@@ -836,45 +718,19 @@ def test_diagonal_norm_and_rank_equal_the_general_kernels(d):
 
 
 # ---------------------------------------------------------------------------
-# The three text parsers against a regex tokenizer.
+# The matrix and norm parsers against a regex tokenizer.
 
 
-@pytest.mark.parametrize(
-    "token", ["1", "007", "00", "+1", "-0", "+0", "1_0", "٣", "١", "2", "-1", "0x1", "1.0", "x"]
-)
-def test_table_entry_lookup_equals_int(token):
-    # Canonical spellings take the lookup; any other token sends every
-    # entry through int(), so values and errors are int()'s.
-    text = f"2\n0 1\n1 {token}\n"
-    parsed = outcome(parse_cayley_text, text)
-    assert parsed == outcome(ref_cayley, text)
-    try:
-        value = int(token)
-    except ValueError:
-        assert parsed[0] == "error"
-    else:
-        assert parsed == ("ok", ([[0, 1], [1, value]], None))
-
-
-# Orders of errors the draws seldom reach: the entry count before a bad
-# entry or an extra token, the labels after the table, and in a norm file
-# whichever bad line comes first.
+# Orders of errors the draws seldom reach: the entry count of a matrix
+# before a bad entry, and in a norm file whichever bad line comes first.
 
 
 @pytest.mark.parametrize(
     "parse, reference, text, message",
     [
-        (parse_cayley_text, ref_cayley, "2\n0 x\n1\n", "expected 4 table entries, found 3"),
-        (parse_cayley_text, ref_cayley, "1\nx 0\n", "unexpected extra token '0'"),
-        (parse_cayley_text, ref_cayley, "1\n0\nlabels: x y\n", "expected 1 labels, found 2"),
-        # The labels swallow the last row.
-        (parse_cayley_text, ref_cayley, "2\n0 1\nlabels: 1\n1 0\n", "expected 4 table entries, found 2"),
         (parse_matrix_text, ref_matrix, "2 2\nx 1 2\n", "expected 4 entries for a 2x2 matrix, found 3"),
         (parse_norm_text, ref_norm, "x\n1 2\n", "expected a rational"),
         (parse_norm_text, ref_norm, "1 2\nx\n", "expected one value per line"),
-        # Too short a text for n * n entries: they are counted, and no
-        # lookup of n spellings is built.
-        (parse_cayley_text, ref_cayley, "1000000000\n0\n", "expected 10" + "0" * 17 + " table entries"),
     ],
 )
 def test_parse_error_order(parse, reference, text, message):
@@ -885,12 +741,6 @@ def test_parse_error_order(parse, reference, text, message):
     # The reference returns a matrix's or a norm's fields, not the object;
     # both raise here, so only the errors are compared.
     assert parsed == outcome(reference, text)
-
-
-@settings(max_examples=400, deadline=None)
-@given(st.one_of(cayley_texts(), arbitrary_texts()))
-def test_parse_cayley_text_matches_a_regex_tokenizer(text):
-    assert outcome(parse_cayley_text, text) == outcome(ref_cayley, text)
 
 
 @settings(max_examples=300, deadline=None)

@@ -169,14 +169,19 @@ def test_test_modules_follow_the_library_modules_and_import_no_other():
     modules = {path.stem for path in Path(semnorms.__file__).resolve().parent.glob("*.py")}
     names = {path.stem for path in tests.glob("test_*.py")}
     assert names - {f"test_{module}" for module in modules} == CROSS_LAYER_TESTS
-    imported = set()
+    imported, defined_twice = set(), set()
     for path in tests.rglob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defs = [node.name for node in tree.body if isinstance(node, ast.FunctionDef)]
+        defined_twice |= {(path.name, name) for name in defs if defs.count(name) > 1}
+        for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 imported |= {(path.name, alias.name) for alias in node.names}
             elif isinstance(node, ast.ImportFrom):
                 imported.add((path.name, node.module or ""))
     assert {(name, module) for name, module in imported if module.startswith("test_")} == set()
+    # A second ``def`` of a name silently replaces the first, test or helper.
+    assert defined_twice == set()
 
 
 def test_submodules_stay_reachable_as_attributes():

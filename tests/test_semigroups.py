@@ -1,5 +1,6 @@
 """Cayley-table validation, the semigroup type, Green's relations, the
-natural partial order, and the text format.
+natural partial order, the text format, and each kernel's shortcut
+against an independent oracle.
 
 Frozen oracle tables are written out by hand at the top; every derived
 fact asserted below was computed independently from those tables before
@@ -13,6 +14,7 @@ classes.  In the t2 natural order both constants sit below both units
 incomparable, and so are the units.
 """
 
+import random
 import re
 import sys
 import time
@@ -20,6 +22,8 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from semnorms import (
     BUILTIN_SEMIGROUPS,
@@ -45,8 +49,29 @@ from semnorms import (
 from semnorms import semigroups
 from semnorms.semigroups import LIGHT_TEST_BUDGET, LISTING_BUDGET, inverse_sets
 
-from references import image_size_classes, natural_leq
-from strategies import NON_ASSOCIATIVE_TABLE, SUITE
+from references import (
+    brute_natural_pairs,
+    brute_triples,
+    image_size_classes,
+    natural_leq,
+    outcome,
+    principal_ideal_green,
+    ref_cayley,
+    reference_validate,
+)
+from strategies import (
+    BUILTIN_TABLES,
+    NON_ASSOCIATIVE_TABLE,
+    SMALL_SEMIGROUPS,
+    SUITE,
+    Index,
+    all_magmas,
+    arbitrary_texts,
+    cayley_texts,
+    magmas,
+    odd_tables,
+    transformation_tables,
+)
 
 
 # Self-maps of {0, 1} in lexicographic order: 0 = const 0, 1 = identity,
@@ -698,3 +723,158 @@ def test_load_rejects_invalid_table(tmp_path):
         load_cayley_table(path)
 
 
+# ---------------------------------------------------------------------------
+# oracles: each kernel's shortcut against a reference
+#
+# Light's associativity test in ``validate``, the Cayley-graph components
+# of ``green_structure``, the lower sets of ``natural_order`` read off the
+# idempotents, and the split-based tokenizer and the table-entry lookup of
+# ``parse_cayley_text``.  The references in ``references`` are written
+# from the definitions alone and share no code with those kernels;
+# hypothesis draws the inputs, from ``strategies``.
+
+
+# validate: Light's test against the full triple scan.
+
+
+@settings(max_examples=300, deadline=None)
+@given(magmas())
+def test_validate_lists_exactly_the_brute_force_triples(table):
+    assert validate(table).non_associative == brute_triples(table)
+
+
+@settings(max_examples=60, deadline=None)
+@given(transformation_tables())
+def test_validate_accepts_transformation_semigroups(table):
+    assert brute_triples(table) == ()
+    assert validate(table).ok
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(odd_tables(), magmas()))
+@example([[0]])
+@example([[1]])
+@example([[-1]])
+@example([[True]])
+@example([[False]])
+@example([[Index(0)]])
+@example([[]])
+@example([[0, 1], [1, True]])
+@example([[Index(0), Index(1)], [Index(1), Index(0)]])
+@example([[0, 1], [1, 0, 1]])
+@example([[0], [0, 0]])
+def test_validate_equals_the_definitions_on_odd_entries(table):
+    report = validate(table)
+    assert (report.structural, report.out_of_range, report.non_associative) == (
+        reference_validate(table)
+    )
+
+
+def test_validate_on_the_known_non_associative_table():
+    assert validate(NON_ASSOCIATIVE_TABLE).non_associative == brute_triples(
+        NON_ASSOCIATIVE_TABLE
+    )
+
+
+def test_validate_on_every_magma_of_order_two():
+    for table in all_magmas(2):
+        assert validate(table).non_associative == brute_triples(table)
+
+
+# green_structure: Cayley-graph components against principal ideals.
+
+
+@settings(max_examples=80, deadline=None)
+@given(transformation_tables())
+def test_green_structure_equals_principal_ideals_on_transformation_semigroups(table):
+    assert green_structure(FiniteSemigroup(table)) == principal_ideal_green(table)
+
+
+def test_green_structure_equals_principal_ideals_on_fixed_tables():
+    tables = BUILTIN_TABLES + SMALL_SEMIGROUPS + [
+        [list(row) for row in make(n).table]
+        for make in (left_zero_semigroup, null_semigroup)
+        for n in (1, 2, 5, 17)
+    ] + [list(map(list, full_transformation_monoid(4).table))]
+    for table in tables:
+        assert green_structure(FiniteSemigroup(table)) == principal_ideal_green(table), table
+
+
+# natural_order: quadratic lower sets against brute force.
+
+
+def test_natural_order_equals_natural_leq_on_builtins():
+    for name in BUILTIN_SEMIGROUPS:
+        s = builtin_semigroup(name)
+        expected = {
+            (a, b) for a in s.elements() for b in s.elements() if natural_leq(s, a, b)
+        }
+        assert natural_order(s).pairs == expected, name
+
+
+def test_natural_order_on_t4_by_idempotents_equals_natural_leq():
+    # 2680 pairs, as the maps on 4 points give; the lower sets of a
+    # sample of elements against the brute force over all witnesses.
+    s = full_transformation_monoid(4)
+    pairs = natural_order(s).pairs
+    assert len(pairs) == 2680
+    for b in random.Random(4).sample(range(s.order), 12):
+        below = {a for a, c in pairs if c == b}
+        assert below == {a for a in s.elements() if natural_leq(s, a, b)}, b
+
+
+@settings(max_examples=60, deadline=None)
+@given(transformation_tables())
+def test_natural_order_equals_definition_on_transformation_semigroups(table):
+    assert natural_order(FiniteSemigroup(table)).pairs == brute_natural_pairs(table)
+
+
+# parse_cayley_text against a regex tokenizer.
+
+
+@pytest.mark.parametrize(
+    "token", ["1", "007", "00", "+1", "-0", "+0", "1_0", "٣", "١", "2", "-1", "0x1", "1.0", "x"]
+)
+def test_table_entry_lookup_equals_int(token):
+    # Canonical spellings take the lookup; any other token sends every
+    # entry through int(), so values and errors are int()'s.
+    text = f"2\n0 1\n1 {token}\n"
+    parsed = outcome(parse_cayley_text, text)
+    assert parsed == outcome(ref_cayley, text)
+    try:
+        value = int(token)
+    except ValueError:
+        assert parsed[0] == "error"
+    else:
+        assert parsed == ("ok", ([[0, 1], [1, value]], None))
+
+
+# Orders of errors the draws seldom reach: the entry count before a bad
+# entry or an extra token, and the labels after the table.
+
+
+@pytest.mark.parametrize(
+    "parse, reference, text, message",
+    [
+        (parse_cayley_text, ref_cayley, "2\n0 x\n1\n", "expected 4 table entries, found 3"),
+        (parse_cayley_text, ref_cayley, "1\nx 0\n", "unexpected extra token '0'"),
+        (parse_cayley_text, ref_cayley, "1\n0\nlabels: x y\n", "expected 1 labels, found 2"),
+        # The labels swallow the last row.
+        (parse_cayley_text, ref_cayley, "2\n0 1\nlabels: 1\n1 0\n", "expected 4 table entries, found 2"),
+        # Too short a text for n * n entries: they are counted, and no
+        # lookup of n spellings is built.
+        (parse_cayley_text, ref_cayley, "1000000000\n0\n", "expected 10" + "0" * 17 + " table entries"),
+    ],
+)
+def test_parse_error_order(parse, reference, text, message):
+    start = time.perf_counter()
+    parsed = outcome(parse, text)
+    assert time.perf_counter() - start < 0.1
+    assert parsed[0] == "error" and message in parsed[1]
+    assert parsed == outcome(reference, text)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(cayley_texts(), arbitrary_texts()))
+def test_parse_cayley_text_matches_a_regex_tokenizer(text):
+    assert outcome(parse_cayley_text, text) == outcome(ref_cayley, text)
