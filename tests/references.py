@@ -10,6 +10,7 @@ import itertools
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from typing import Sequence
 
@@ -630,3 +631,15 @@ def outcome(parse, text):
         return "ok", parse(text)
     except ParseError as exc:
         return "error", str(exc), exc.line, exc.column
+
+
+def assert_parse_error(parse, reference, text, message):
+    """``parse`` refuses ``text`` within 0.1 s with ``message`` in its
+    error, at the place ``reference`` refuses it."""
+    start = time.perf_counter()
+    parsed = outcome(parse, text)
+    assert time.perf_counter() - start < 0.1
+    assert parsed[0] == "error" and message in parsed[1]
+    # The matrix and norm references return fields, not the object; both
+    # sides raise here, so only the errors are compared.
+    assert parsed == outcome(reference, text)

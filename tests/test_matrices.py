@@ -1,5 +1,6 @@
-"""Exact matrices, determinants, the order-k norms, pseudoinverses and
-the boundary sequence.
+"""Exact matrices, determinants, the order-k norms, pseudoinverses, the
+boundary sequence, and each kernel's shortcut against an independent
+oracle.
 
 The determinant oracle is an independent Laplace cofactor expansion,
 written before anything below it was asserted; the frozen values
@@ -7,6 +8,7 @@ written before anything below it was asserted; the frozen values
 matrix) were computed by hand from the definitions.
 """
 
+import itertools
 import math
 import random
 import re
@@ -14,6 +16,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from semnorms import (
     MinorNormCheck,
@@ -33,15 +37,42 @@ from semnorms import (
     witness_sequence,
 )
 from semnorms import matrices
-from semnorms.matrices import WORK_BUDGET, _boundary_point
+from semnorms.matrices import WORK_BUDGET, _boundary_point, _diagonal_norm, _eliminate
 
-from references import laplace_det, minor
+from references import (
+    assert_parse_error,
+    fraction_inverse,
+    fraction_product,
+    inner_inverse,
+    inversions,
+    laplace_det,
+    minor,
+    outcome,
+    product,
+    ref_matrix,
+)
 from strategies import (
     BIG,
+    SWAPPING,
+    WITNESS_POINTS,
+    arbitrary_texts,
+    chained_matrices,
     diagonal_matrix,
     identity_matrix,
+    inner_inverse_draws,
+    low_rank_products,
+    matrix_entries,
+    matrix_texts,
+    nonsingular_squares,
+    random_invertible_integer_matrix,
     random_rational_matrix,
+    rat_matrices,
+    schur_blocks,
+    seeded_orders,
+    square_matrices,
     transposed,
+    with_zero_lines,
+    witness_inner_inverses,
     zero_matrix,
 )
 
@@ -565,3 +596,303 @@ def test_load_matrix(tmp_path):
     assert load_matrix(path) == rat([[1, 2], [3, 4]])
 
 
+# ---------------------------------------------------------------------------
+# oracles: each kernel's shortcut against a reference
+#
+# The integer Laplace program of ``compound``, the integer products of
+# ``mat_mul``, the Bareiss elimination of ``rank`` and ``det`` and its
+# Schur complement, the integer pseudoinverse and its Penrose check, and
+# the split-based tokenizer of ``parse_matrix_text``.  The references in
+# ``references`` are written from the definitions alone, or are sympy's,
+# and share no code with those kernels; hypothesis draws the inputs, from
+# ``strategies``.
+
+
+# compound: the Laplace program against one Bareiss minor per entry.
+
+
+def subsets(size, k):
+    return list(itertools.combinations(range(size), k))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(rat_matrices(), nonsingular_squares()))
+def test_compound_entries_are_the_minors(a):
+    for k in range(1, min(a.rows, a.cols) + 1):
+        c = compound(a, k)
+        rows, cols = subsets(a.rows, k), subsets(a.cols, k)
+        assert (c.rows, c.cols) == (len(rows), len(cols))
+        assert c.to_rows() == [[minor(a, r, q) for q in cols] for r in rows]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(rat_matrices(), nonsingular_squares()))
+def test_compound_of_order_one_and_of_full_order(a):
+    assert compound(a, 1) == a
+    if a.is_square:
+        assert compound(a, a.rows).to_rows() == [[det(a)]]
+
+
+@settings(max_examples=100, deadline=None)
+@given(chained_matrices())
+def test_compound_is_multiplicative(pair):
+    # Cauchy-Binet in full: C_k(ab) = C_k(a) C_k(b) for every k the
+    # three dimensions allow.
+    a, b = pair
+    for k in range(1, min(a.rows, a.cols, b.cols) + 1):
+        assert compound(mat_mul(a, b), k) == mat_mul(compound(a, k), compound(b, k))
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.one_of(st.integers(1, 4).flatmap(lambda n: rat_matrices(n, n)), nonsingular_squares()))
+def test_compound_matches_sympy_determinants(a):
+    sympy = pytest.importorskip("sympy")
+    grid = sympy.Matrix(a.to_rows())
+    for k in range(1, a.rows + 1):
+        rows = subsets(a.rows, k)
+        expected = [
+            [Fraction(str(grid.extract(list(r), list(q)).det())) for q in rows] for r in rows
+        ]
+        assert compound(a, k).to_rows() == expected
+
+
+def test_compound_rejects_orders_outside_the_shape():
+    a = zero_matrix(2, 3)
+    for k in (0, -1, 3, 4):
+        with pytest.raises(ValueError, match="0 < k <= min"):
+            compound(a, k)
+
+
+# Integer products, the Bareiss kernel and the pseudoinverse against a
+# Fraction triple loop and sympy.
+
+
+@settings(max_examples=100, deadline=None)
+@given(chained_matrices(max_side=5).flatmap(
+    lambda pair: st.tuples(*(with_zero_lines(st.just(m)) for m in pair))
+))
+def test_mat_mul_matches_a_fraction_triple_loop(pair):
+    a, b = pair
+    assert mat_mul(a, b).to_rows() == fraction_product(a, b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(
+    rat_matrices(), with_zero_lines(rat_matrices()), low_rank_products(), nonsingular_squares()
+))
+@example(SWAPPING[0])
+@example(SWAPPING[1])
+def test_rank_matches_sympy(a):
+    sympy = pytest.importorskip("sympy")
+    assert rank(a) == sympy.Matrix(a.to_rows()).rank()
+
+
+@settings(max_examples=100, deadline=None)
+@given(square_matrices())
+@example(SWAPPING[0])
+@example(SWAPPING[1])
+def test_det_matches_sympy(a):
+    sympy = pytest.importorskip("sympy")
+    assert det(a) == Fraction(str(sympy.Matrix(a.to_rows()).det()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(square_matrices())
+@example(SWAPPING[0])
+@example(SWAPPING[1])
+@example(WITNESS_POINTS[0])
+@example(WITNESS_POINTS[1])
+@example(WITNESS_POINTS[2])
+def test_generalized_inverse_matches_sympy_pinv(a):
+    sympy = pytest.importorskip("sympy")
+    g = generalized_inverse(a)
+    expected = sympy.Matrix(a.to_rows()).pinv()
+    assert g.to_rows() == [[Fraction(str(x)) for x in row] for row in expected.tolist()]
+    # The four Penrose identities, on the triple loop.
+    ag = RatMatrix.from_rows(fraction_product(a, g))
+    ga = RatMatrix.from_rows(fraction_product(g, a))
+    assert fraction_product(ag, a) == a.to_rows()
+    assert fraction_product(ga, g) == g.to_rows()
+    assert transposed(ag) == ag
+    assert transposed(ga) == ga
+
+
+@settings(max_examples=100, deadline=None)
+@given(schur_blocks())
+def test_eliminate_leaves_the_last_pivot_times_the_schur_complement(case):
+    k, b, u = case
+    r = len(k)
+    block = [kr + br for kr, br in zip(k, b)] + [[-x for x in ur] + [0] * len(b[0]) for ur in u]
+    pivot_rows, pivot_cols, last, rest = _eliminate(block, r)
+    # Every pivot falls in K's rows, where the default call on K alone finds them.
+    assert pivot_cols == list(range(r)) and sorted(pivot_rows) == list(range(r))
+    assert _eliminate(k) == (pivot_rows, pivot_cols, last, [])
+    assert last == (-1) ** inversions(pivot_rows) * laplace_det(k)
+    kinv = fraction_inverse(k)
+    schur = [
+        [sum(ui[s] * kinv[s][t] * b[t][c] for s in range(r) for t in range(r))
+         for c in range(len(b[0]))]
+        for ui in u
+    ]
+    assert rest == [[last * x for x in row] for row in schur]
+
+
+@settings(max_examples=60, deadline=None)
+@given(inner_inverse_draws())
+@example((SWAPPING[0], identity_matrix(2), identity_matrix(2)))
+@example((WITNESS_POINTS[1], identity_matrix(3), zero_matrix(3)))
+def test_generalized_inverse_check_refuses_every_other_inner_inverse(case):
+    """b = b1 x b1 satisfies x b x = x and b x b = b for every U and V (a
+    {1,2}-inverse); it is x^+ only when x b and b x are symmetric too.
+    Fed to ``generalized_inverse`` as its Schur complement, b must pass
+    the in-kernel check exactly when it is x^+."""
+    sympy = pytest.importorskip("sympy")
+    x, u, v = case
+    big_x, big_u, big_v = (sympy.Matrix(m.to_rows()) for m in (x, u, v))
+    big_g, eye = big_x.pinv(), sympy.eye(x.rows)
+    b1 = big_g + (eye - big_g * big_x) * big_u + big_v * (eye - big_x * big_g)
+    big_b = b1 * big_x * b1
+    assert big_x * big_b * big_x == big_x and big_b * big_x * big_b == big_b
+    g, b = (
+        RatMatrix.from_rows([[Fraction(str(e)) for e in row] for row in m.tolist()])
+        for m in (big_g, big_b)
+    )
+    d = math.lcm(*(e.denominator for e in x.entries))
+    scale = math.lcm(*(e.denominator for e in b.entries))
+
+    def fed(grid, width=None):
+        pivots = _eliminate(grid, width)
+        if width is None:
+            return pivots
+        # d * G' / D = b: G' = scale * b and D = d * scale.
+        return (*pivots[:2], d * scale, [[int(e * scale) for e in row] for row in b.to_rows()])
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(matrices, "_eliminate", fed)
+        if b == g:
+            assert generalized_inverse(x) == g
+        else:
+            with pytest.raises(RuntimeError, match="failed its defining identities"):
+                generalized_inverse(x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(witness_inner_inverses())
+@example((6, 3, 7, zero_matrix(6), zero_matrix(6)))
+@example((4, 2, 3, identity_matrix(4), identity_matrix(4)))
+def test_every_inner_inverse_of_a_witness_point_meets_the_bound(case):
+    """Law P5 on the matrix side, for every inverse: a b with x b x = x has
+    m I_k as its top-left k x k block, so the order-k norm of b is at least
+    C(n, k) m^k, which the pseudoinverse g attains."""
+    n, k, m, u, v = case
+    x, g = map(diagonal_matrix, _boundary_point(n, k, m))
+    b = inner_inverse(x, g, u, v)
+    assert product(x, b, x) == x
+    bound = math.comb(n, k) * m**k
+    assert minor_norm(g, k) == bound
+    assert minor_norm(b, k) >= bound
+    if u == v == zero_matrix(n):
+        assert b == g
+
+
+# Laws P2, P3 and P5 on the matrix side.  N_k is submultiplicative on
+# M_n(Q), so it obeys the laws every submultiplicative norm obeys; each
+# is checked at every k on seeded draws of order 2 to 5, with the
+# products by the triple loop and N_k(x) = 0 exactly when rank x < k.
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeded_orders(), st.data())
+def test_idempotent_matrices_have_norm_zero_or_at_least_one(case, data):
+    """P2: e = P diag(I_r, 0) P^-1 is idempotent of rank r, and N_k(e)
+    is 0 (k > r) or at least 1 (k <= r)."""
+    n, rng = case
+    r = data.draw(st.integers(0, n))
+    p = random_invertible_integer_matrix(rng, n)
+    p_inv = generalized_inverse(p)
+    assert product(p, p_inv) == identity_matrix(n)
+    e = product(p, diagonal_matrix([1] * r + [0] * (n - r)), p_inv)
+    assert product(e, e) == e
+    assert rank(e) == r
+    for k in range(1, n + 1):
+        value = minor_norm(e, k)
+        assert value >= 1 if k <= r else value == 0, (k, r, value)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeded_orders(), st.data())
+def test_the_zero_set_of_a_minor_norm_absorbs_products(case, data):
+    """P3, as an ideal: a = B C through an inner dimension below k has
+    N_k(a) = 0, and so have a b and b a for every b."""
+    n, rng = case
+    k = data.draw(st.integers(1, n))
+    inner = data.draw(st.integers(0, k - 1))
+    a = (
+        product(random_rational_matrix(rng, n, inner), random_rational_matrix(rng, inner, n))
+        if inner else zero_matrix(n)
+    )
+    b = random_rational_matrix(rng, n, n)
+    for x in (a, product(a, b), product(b, a)):
+        assert rank(x) <= inner
+        assert minor_norm(x, k) == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeded_orders(), st.data())
+def test_inner_inverses_meet_the_reciprocal_bound(case, data):
+    """P5: b = a^+ + (I - a^+ a) U + V (I - a a^+) satisfies a b a = a
+    for every U and V, and N_k(a) N_k(b) >= 1 wherever N_k(a) > 0."""
+    n, rng = case
+    inner = data.draw(st.integers(1, n))
+    a = product(random_rational_matrix(rng, n, inner), random_rational_matrix(rng, inner, n))
+    g = generalized_inverse(a)
+    u, v = (
+        random_rational_matrix(rng, n, n) if data.draw(st.booleans()) else zero_matrix(n)
+        for _ in "uv"
+    )
+    b = inner_inverse(a, g, u, v)
+    assert product(a, b, a) == a
+    for k in range(1, n + 1):
+        norm_a = minor_norm(a, k)
+        assert (norm_a > 0) == (k <= rank(a))
+        if norm_a:
+            assert norm_a * minor_norm(b, k) >= 1, (k, norm_a)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(matrix_entries(), min_size=1, max_size=7))
+@example([Fraction(0), Fraction(-3, 2), Fraction(3, 2), Fraction(0), Fraction(1, 7)])
+def test_diagonal_norm_and_rank_equal_the_general_kernels(d):
+    """The witness reads each norm and rank off a diagonal: the closed
+    form against the compound and the Bareiss rank, for every k."""
+    a = diagonal_matrix(d)
+    for k in range(1, len(d) + 1):
+        assert _diagonal_norm(d, k) == minor_norm(a, k)
+    assert sum(x != 0 for x in d) == rank(a)
+
+
+# parse_matrix_text against a regex tokenizer.
+
+
+# Orders of errors the draws seldom reach: the entry count of a matrix
+# before a bad entry.
+
+
+@pytest.mark.parametrize(
+    "parse, reference, text, message",
+    [
+        (parse_matrix_text, ref_matrix, "2 2\nx 1 2\n", "expected 4 entries for a 2x2 matrix, found 3"),
+    ],
+)
+def test_parse_error_order(parse, reference, text, message):
+    assert_parse_error(parse, reference, text, message)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(matrix_texts(), arbitrary_texts()))
+def test_parse_matrix_text_matches_a_regex_tokenizer(text):
+    def parse(t):
+        a = parse_matrix_text(t)
+        return a.rows, a.cols, a.entries
+
+    assert outcome(parse, text) == outcome(ref_matrix, text)

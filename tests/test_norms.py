@@ -1,6 +1,7 @@
 """Norm tables, the exhaustive submultiplicativity check, the envelope
 repair, the random generator, the text format, the laws P2..P8 with the
-bridge from N_k, and the literature's norm axioms.
+bridge from N_k, the literature's norm axioms, and each kernel's shortcut
+against an independent oracle.
 
 Frozen envelope oracles, derived by hand:
 
@@ -25,8 +26,11 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from semnorms import (
+    BUILTIN_SEMIGROUPS,
     FAIL,
     INAPPLICABLE,
     PASS,
@@ -40,6 +44,7 @@ from semnorms import (
     builtin_semigroup,
     check_submultiplicative,
     classify_literature_axioms,
+    full_transformation_monoid,
     generalized_inverse,
     load_norm_table,
     mat_mul,
@@ -60,6 +65,7 @@ from semnorms.norms import (
     HOLDS,
     NO_SUCH_ELEMENT,
     NOT_FINITELY_CHECKABLE,
+    _envelope_rounds,
     _scan_group_lower_bound,
     _scan_idempotent_dichotomy,
     _scan_inverse_lower_bound,
@@ -69,16 +75,38 @@ from semnorms.norms import (
     _scan_zero_spreads_over_d_class,
 )
 
-from references import fraction_submultiplicative, transformation_maps
+from references import (
+    assert_parse_error,
+    bounded_infimum,
+    brute_power,
+    fraction_submultiplicative,
+    outcome,
+    ref_norm,
+    reference_axioms,
+    reference_envelope_rounds,
+    reference_inverse_lower_bound,
+    reference_order_zero_downward,
+    reference_suite,
+    transformation_maps,
+)
 from strategies import (
     BIG,
     BRIDGE_ORDERS,
+    BUILTIN_TABLES,
     HALF,
+    PRIMES,
+    SMALL_SEMIGROUPS,
     SUITE,
+    arbitrary_texts,
     identity_matrix,
     map_matrix,
+    norm_texts,
+    norms_by_kind,
     random_invertible_integer_matrix,
     semigroup_of_maps,
+    tables_with_few_values,
+    tables_with_values,
+    transformation_tables,
 )
 
 
@@ -876,3 +904,374 @@ def test_to_jsonable_stringifies_fractions():
     flat = [e for e in out["entries"] if e["axiom"] == "multiplicativity"]
     assert flat[0]["status"] == "fails"
     assert all(isinstance(x, (str, int)) for x in flat[0]["witness"])
+
+
+# ---------------------------------------------------------------------------
+# oracles: each kernel's shortcut against a reference
+#
+# Integer cross-multiplication and value classes in
+# ``check_submultiplicative``, the bounded integer rounds of
+# ``submultiplicative_envelope``, by pairs or by value classes, the single
+# gate of ``run_suite``, the stored inverse sets of P5, the least violating
+# pair of P8 and the laws P3-P8 decided on all-zero or zero-free norms
+# without derived structure, the integer pair scans of
+# ``classify_literature_axioms``, and the split-based tokenizer of
+# ``parse_norm_text``.  The references in ``references`` are written from
+# the definitions alone and share no code with those kernels; hypothesis
+# draws the inputs, from ``strategies``.
+
+
+# check_submultiplicative: integers against plain Fractions.
+
+
+@settings(max_examples=150, deadline=None)
+@given(tables_with_values())
+def test_submultiplicative_verdict_and_witness_match_fractions(case):
+    table, values = case
+    verdict = check_submultiplicative(FiniteSemigroup(table), values)
+    assert (verdict.ok, verdict.witness) == fraction_submultiplicative(
+        table, [Fraction(v) for v in values]
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(tables_with_few_values())
+@example(([[0] * 3] * 3, [Fraction(1, 2)] * 3))
+@example(([[0, 1], [1, 0]], [0, 0]))
+@example(([[0, 1], [1, 0]], [3, 3]))
+def test_submultiplicative_on_few_values_matches_fractions(case):
+    table, values = case
+    verdict = check_submultiplicative(FiniteSemigroup(table), values)
+    assert (verdict.ok, verdict.witness) == fraction_submultiplicative(
+        table, [Fraction(v) for v in values]
+    )
+
+
+def test_submultiplicative_by_value_classes_on_t3_and_t4():
+    # Few values on large tables, where the gate reads by value classes:
+    # raw draws, which mostly fail, and their envelopes, which pass.
+    rng = random.Random(34)
+    for s in (builtin_semigroup("t3"), full_transformation_monoid(4)):
+        for pool in ([0], [Fraction(1, 2)], [1, 2], [Fraction(1, 2), 1, 2], [0, Fraction(1, 3), 1, 3]):
+            values = [Fraction(rng.choice(pool)) for _ in s.elements()]
+            for table in (values, list(submultiplicative_envelope(s, values))):
+                verdict = check_submultiplicative(s, table)
+                assert (verdict.ok, verdict.witness) == fraction_submultiplicative(s.table, table)
+
+
+def test_submultiplicative_boundary_with_coprime_denominators():
+    # On a null semigroup every product is element 0, so the verdict
+    # turns on value(0) <= value(a) * value(b) alone.  With value(0) =
+    # (q/p)^2 and value(1) = value(2) = q/p the pair (1, 1) holds with
+    # equality; a hair more on value(0) makes it the first violation.
+    p, q = PRIMES[-2], PRIMES[-1]
+    s = FiniteSemigroup([[0] * 3 for _ in range(3)])
+    tight = [Fraction(q * q, p * p), Fraction(q, p), Fraction(q, p)]
+    assert check_submultiplicative(s, tight).ok
+    over = [tight[0] + Fraction(1, p * p * q), *tight[1:]]
+    verdict = check_submultiplicative(s, over)
+    assert verdict.witness == (1, 1, over[0], over[1], over[2])
+    assert (verdict.ok, verdict.witness) == fraction_submultiplicative(s.table, over)
+
+
+# submultiplicative_envelope: integer rounds against bounded factorizations.
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(SMALL_SEMIGROUPS + [t for t in BUILTIN_TABLES if len(t) <= 4]),
+    st.sampled_from([
+        (0, Fraction(1, 2), 1, 2),
+        (Fraction(1, 2), 1, 2),
+        (Fraction(1, 3), 1, 3),
+        (Fraction(99, 100), 1, Fraction(101, 100)),
+        (0, Fraction(1, 3), Fraction(1, 2), 1, 3),
+    ]),
+    st.data(),
+)
+def test_envelope_equals_bounded_factorization_infimum(table, pool, data):
+    # A nonzero infimum is reached within n factors and then no longer
+    # factorization goes lower; an infimum of 0 is either reached within
+    # n factors or shows as a longer factorization going below them.
+    # Values below 1 on idempotents exercise the envelope's rule that
+    # zeroes them after each round.
+    n = len(table)
+    drawn = data.draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    values = [Fraction(v) for v in drawn]
+    env = submultiplicative_envelope(FiniteSemigroup(table), values)
+    within_n = bounded_infimum(table, values, n)
+    within_64 = bounded_infimum(table, values, 64)
+    for e, short, long in zip(env, within_n, within_64):
+        if e:
+            assert e == short == long
+        else:
+            assert short == 0 or long < short
+
+
+def test_envelope_zeroes_a_pumped_idempotent_in_the_first_round():
+    # e = (0, 1, 1) is an idempotent of t3 of image size 2; at 1/2 it
+    # pumps, e = e**k, so its infimum and that of the ideal it generates
+    # (the 21 maps of image size at most 2) are 0.  Zeroed after round 1,
+    # the zero reaches x*e and e*y in round 2 and x*e*y in round 3, and
+    # round 4 changes nothing.  Squaring e's value through all R = 5
+    # exact rounds instead took R + 2 rounds.
+    s = builtin_semigroup("t3")
+    maps = transformation_maps(3)
+    e = maps.index((0, 1, 1))
+    values = [Fraction(1)] * 27
+    values[e] = Fraction(1, 2)
+    envelope, rounds = _envelope_rounds(s, values)
+    assert list(envelope) == [1 if len(set(f)) == 3 else 0 for f in maps]
+    assert rounds == 4 <= (s.order - 1).bit_length() + 2
+    bound = bounded_infimum(s.table, values, 64)
+    assert all(v == 0 or v == b for v, b in zip(envelope, bound))
+
+
+def group_with_absorbers(order):
+    """The cyclic group C_order on 0..order-1 and four more elements x, y,
+    c and z: x*g = x and g*y = y for every g in the group, x*y = c, and
+    every other product with an element outside the group is the zero z.
+    So c = x*e*y, but c*e = e*c = z for the identity e."""
+    x, y, c, z = order, order + 1, order + 2, order + 3
+
+    def product(a, b):
+        if a < order and b < order:
+            return (a + b) % order
+        if a == x and b < order:
+            return x
+        if a < order and b == y:
+            return y
+        return c if (a, b) == (x, y) else z
+
+    return [[product(a, b) for b in range(order + 4)] for a in range(order + 4)]
+
+
+def test_envelope_zeroes_every_value_lowered_after_round_r(monkeypatch):
+    # C_9 with x, y, c, z: n = 13, R = 4.  The generator 1 is valued 1/2,
+    # x and y 1, the rest 2**20, and every infimum is 0 (g = g*1**9,
+    # x = x*1, y = 1*y).  The identity e = 1**9 needs nine factors to go
+    # below 1, so it is pumped at the end of round R, and in round R + 1
+    # the zero reaches x = x*e, y = e*y and every g = e*g.  c = x*y has no
+    # factorization with e as a factor, so round R + 1 lowers it to
+    # x*y from round R's values, 2**-30, a product of 32 input values;
+    # only the pass after a post-R round writes 0 there.  Without it, c
+    # starts round R + 2 at 2**-30 and the envelope runs one more round.
+    table = group_with_absorbers(9)
+    s = FiniteSemigroup(table)
+    x, y, c = 9, 10, 11
+    values = [Fraction(2**20)] * s.order
+    values[1] = Fraction(1, 2)
+    values[x] = values[y] = Fraction(1)
+    starts = []
+    value_classes = norms._value_classes
+
+    def recording(num, den, share):
+        starts.append([Fraction(p, q) for p, q in zip(num, den)])
+        return value_classes(num, den, share)
+
+    monkeypatch.setattr(norms, "_value_classes", recording)
+    envelope, rounds = _envelope_rounds(s, values)
+    r = (s.order - 1).bit_length()
+    assert r == 4 and len(starts) == rounds >= r + 2
+    before, after = starts[r], starts[r + 1]
+    lowered = [a for a in s.elements() if after[a] < before[a]]
+    assert c in lowered and 0 < before[x] * before[y] < before[c]
+    assert [after[a] for a in lowered] == [0] * len(lowered)
+    assert (list(envelope), rounds) == reference_envelope_rounds(table, values)
+
+
+def envelope_pools(n):
+    """Pools of 1, 3, 16 and n values: below, at and above 1."""
+    return [
+        [Fraction(1, 2)],
+        [Fraction(1, 2), Fraction(1), Fraction(2)],
+        [Fraction(j, 8) for j in range(1, 17)],
+        [Fraction(j + 1, n // 2 + 1) for j in range(n)],
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_SEMIGROUPS) + ["t4"])
+def test_envelope_and_rounds_equal_the_literal_rounds(name):
+    # The envelope picks a pair or class round by the number of values;
+    # these pools put rounds on both sides.  t4 runs one draw per pool.
+    s = full_transformation_monoid(4) if name == "t4" else builtin_semigroup(name)
+    rng = random.Random(name)
+    for pool in envelope_pools(s.order):
+        for _ in range(1 if name == "t4" else 6):
+            values = [rng.choice(pool) for _ in s.elements()]
+            envelope, rounds = _envelope_rounds(s, values)
+            assert (list(envelope), rounds) == reference_envelope_rounds(s.table, values)
+
+
+# run_suite: one gate against the seven raw scans, in suite order, behind
+# the Fraction submultiplicativity oracle.
+
+
+RAW_SCANS = (
+    _scan_idempotent_dichotomy,
+    _scan_zero_set_closed,
+    _scan_zero_spreads_over_d_class,
+    _scan_inverse_lower_bound,
+    _scan_group_lower_bound,
+    _scan_zero_element_bound,
+    _scan_order_zero_downward,
+)
+
+
+def assert_suite_is_gated_raw_scans(s, values):
+    """run_suite(s, values) is every raw scan when the oracle finds the
+    table submultiplicative, and all INAPPLICABLE when it does not."""
+    suite = run_suite(s, values)
+    values = [Fraction(v) for v in values]
+    if fraction_submultiplicative(s.table, values)[0]:
+        norm = NormTable(values)
+        assert suite == tuple(scan(s, norm) for scan in RAW_SCANS)
+    else:
+        assert {v.status for v in suite} == {INAPPLICABLE}
+    return suite
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.one_of(transformation_tables(), st.sampled_from(BUILTIN_TABLES)),
+    st.integers(0, 2**16),
+    st.sampled_from([(0, Fraction(1, 2), 1, 2), (Fraction(1, 2), 1, 2), (1, 2, 3)]),
+)
+def test_run_suite_equals_separate_checkers(table, seed, pool):
+    s = FiniteSemigroup(table)
+    for norm in random_submultiplicative_norms(s, 2, seed=seed, value_pool=pool).norms:
+        suite = assert_suite_is_gated_raw_scans(s, norm)
+        # P2-P8 hold for every submultiplicative norm.
+        assert FAIL not in {v.status for v in suite}
+
+
+@settings(max_examples=60, deadline=None)
+@given(tables_with_values())
+def test_run_suite_equals_separate_checkers_on_raw_values(case):
+    table, values = case
+    assert_suite_is_gated_raw_scans(FiniteSemigroup(table), values)
+
+
+# P5 and P8 against the laws read literally: inverses by brute force, the
+# order by ``natural_leq`` over all pairs, and the first violation in
+# sorted order as the witness.  The raw scans take any values, so FAILs
+# occur.
+
+
+@settings(max_examples=80, deadline=None)
+@given(tables_with_values())
+@example(([[0, 1], [1, 0]], [1, Fraction(1, 2)]))
+@example(([[0] * 4] * 4, [1, 0, 0, 0]))
+@example(([[0, 0, 3, 3], [0, 1, 2, 3], [0, 2, 1, 3], [0, 3, 0, 3]], [1, 0, 0, 2]))
+@example(([[0, 0, 3, 3], [0, 1, 2, 3], [0, 2, 1, 3], [0, 3, 0, 3]], [1, 2, 1, 0]))
+def test_inverse_and_order_scans_equal_the_definitions(case):
+    table, values = case
+    s = FiniteSemigroup(table)
+    norm = NormTable(values)
+    for scan, reference in (
+        (_scan_inverse_lower_bound, reference_inverse_lower_bound),
+        (_scan_order_zero_downward, reference_order_zero_downward),
+    ):
+        verdict = scan(s, norm)
+        assert (verdict.status, verdict.witness) == reference(s, norm.values)
+
+
+# P2-P8 against the laws read literally, on the four kinds of norm whose
+# scans skip derived structure (all zero, zero-free, every value at least
+# 1) and on mixed norms, which need it.  Green's D comes from principal
+# ideals, inverses and one-sided zeros by brute force, and a group is a
+# monoid in which every element has a two-sided inverse.
+
+
+@settings(max_examples=150, deadline=None)
+@given(norms_by_kind())
+@example(([[0] * 4] * 4, [0, 0, 0, 0]))
+@example(([[0, 1], [1, 0]], [Fraction(1, 2), 2]))
+@example(([[0, 0, 3, 3], [0, 1, 2, 3], [0, 2, 1, 3], [0, 3, 0, 3]], [2, 1, 1, 3]))
+def test_suite_scans_equal_the_literal_laws(case):
+    table, values = case
+    s = FiniteSemigroup(table)
+    norm = NormTable(values)
+    got = [(v.proposition, v.status, v.witness, v.detail) for v in (scan(s, norm) for scan in RAW_SCANS)]
+    assert got == reference_suite(table, values)
+
+
+# classify_literature_axioms: each finitely checkable axiom read from its
+# definition in Fraction arithmetic, the identity and the two-sided zero
+# found by brute force, and the first violation in row-major order as the
+# witness.  The classifier's pair scans compare cross-multiplied integers.
+
+
+@settings(max_examples=150, deadline=None)
+@given(tables_with_values(), st.sampled_from(("multiplicative", "additive")))
+@example(([[0]], [0]), "multiplicative")
+@example(([[0]], [1]), "additive")
+@example(([[0, 1], [1, 0]], [0, 0]), "additive")
+@example(([[0, 1], [1, 0]], [1, 1]), "multiplicative")
+@example(([[0] * 4] * 4, [0, 1, 1, 1]), "multiplicative")
+@example(([[0] * 4] * 4, [0, 0, 0, 0]), "additive")
+@example(([[0, 0, 3, 3], [0, 1, 2, 3], [0, 2, 1, 3], [0, 3, 0, 3]], [0, 1, 1, 0]), "additive")
+def test_literature_axioms_equal_the_definitions(case, notation):
+    table, values = case
+    report = classify_literature_axioms(FiniteSemigroup(table), values, notation=notation)
+    assert report.notation == notation
+    got = [(e.definition, e.axiom, e.status, e.witness, e.note) for e in report.entries]
+    assert got == reference_axioms(table, values, notation)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tables_with_few_values(), st.sampled_from(("multiplicative", "additive")))
+@example(([[0] * 4] * 4, [1, 1, 1, 1]), "multiplicative")
+@example(([[0] * 4] * 4, [0, 2, 2, 2]), "additive")
+def test_literature_axioms_on_few_values_equal_the_definitions(case, notation):
+    # The pair scans read only the rows their value classes leave them.
+    table, values = case
+    report = classify_literature_axioms(FiniteSemigroup(table), values, notation=notation)
+    got = [(e.definition, e.axiom, e.status, e.witness, e.note) for e in report.entries]
+    assert got == reference_axioms(table, values, notation)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(tables_with_values(), tables_with_few_values()))
+@example(([[0, 1], [1, 0]], [0, 1]))
+@example(([[0] * 4] * 4, [0, 0, 0, 0]))
+@example(([list(row) for row in builtin_semigroup("t3").table], [0] * 27))
+def test_power_homogeneity_fails_exactly_when_some_value_is_nonzero(case):
+    # On a finite table the axiom for every exponent forces every value to
+    # 0: value(x^(2^j)) = 2^j * value(x) would take infinitely many values
+    # at a nonzero value(x).  So the verdict is a closed form of the values,
+    # and a FAIL's witness is a genuine violation.
+    table, values = case
+    report = classify_literature_axioms(FiniteSemigroup(table), values)
+    (entry,) = (
+        e for e in report.entries if (e.definition, e.axiom) == ("shkarin", "power_homogeneity")
+    )
+    assert entry.status == ("fails" if any(values) else "holds")
+    if entry.witness is not None:
+        a, k, value_power, bound = entry.witness
+        assert value_power == Fraction(values[brute_power(table, a, k)]) != bound
+        assert bound == k * Fraction(values[a])
+
+
+# parse_norm_text against a regex tokenizer.
+
+
+# Orders of errors the draws seldom reach: in a norm file, whichever bad
+# line comes first.
+
+
+@pytest.mark.parametrize(
+    "parse, reference, text, message",
+    [
+        (parse_norm_text, ref_norm, "x\n1 2\n", "expected a rational"),
+        (parse_norm_text, ref_norm, "1 2\nx\n", "expected one value per line"),
+    ],
+)
+def test_parse_error_order(parse, reference, text, message):
+    assert_parse_error(parse, reference, text, message)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(norm_texts(), arbitrary_texts()))
+def test_parse_norm_text_matches_a_regex_tokenizer(text):
+    assert outcome(lambda t: parse_norm_text(t).values, text) == outcome(ref_norm, text)

@@ -151,14 +151,13 @@ def test_modules_import_their_layers_and_no_private_names():
     assert private == {("cli", "_gated_suite")}
 
 
-# Each test module is named after the library module it tests, except
-# those that cut across the layers: the kernels against their brute-force
-# references, the acceptance criteria, the package surface and the small
-# world.  Code they share lives in the support modules ``references`` and
-# ``strategies``, not in a test module.
+# Each test module is named after the library module it tests, and holds
+# its kernels' oracles, except those that cut across the layers: the
+# acceptance criteria, the package surface and the small world.  Code they
+# share lives in the support modules ``references`` and ``strategies``,
+# not in a test module.
 CROSS_LAYER_TESTS = {
     "test_acceptance",
-    "test_oracles",
     "test_package",
     "test_small_world",
 }
